@@ -12,7 +12,7 @@
 // Outputs:
 //  * bench/out/recovery_latency.json — l96.recovery.v1 rows.  A pure
 //    function of the seeds: byte-identical across runs and across
-//    RecoveryRunner worker counts (re-verified in-process below).
+//    harness::run worker counts (re-verified in-process below).
 //
 // Exit status enforces:
 //  * zero priced deliveries inside every blackout / crash window (the
@@ -24,7 +24,7 @@
 //    already pays the miss path in steady state, so the contrast is
 //    asserted for the scheme that holds the working set);
 //  * true LRU recovers no slower than one-behind on every scenario;
-//  * a chaos-free RecoveryRunner row reproduces the fleet engine's sample
+//  * a chaos-free recovery row reproduces the fleet engine's sample
 //    digest byte for byte (the recovery harness is the fleet harness).
 //
 //   bench_recovery_latency [packets-per-row] [out-dir]
@@ -38,6 +38,7 @@
 
 #include "harness/fleet.h"
 #include "harness/recovery.h"
+#include "harness/runner.h"
 #include "harness/tables.h"
 
 using namespace l96;
@@ -106,20 +107,26 @@ int main(int argc, char** argv) {
 
   // Layouts carry different costs: measure one table per layout and run
   // each layout's slice under its own table.
-  harness::RecoveryRunner runner;
-  std::vector<harness::RecoveryResult> rows;
   std::vector<harness::BurstCostTable> tables;
   for (const code::StackConfig& cfg : layouts) {
-    const harness::BurstCostTable costs =
-        harness::measure_burst_costs(net::StackKind::kTcpIp, cfg, 1);
-    std::vector<harness::RecoverySpec> slice;
-    for (const auto& s : specs) {
-      if (s.fleet.config.name == cfg.name) slice.push_back(s);
-    }
-    auto part = runner.run(slice, costs);
-    rows.insert(rows.end(), part.begin(), part.end());
-    tables.push_back(costs);
+    tables.push_back(
+        harness::measure_burst_costs(net::StackKind::kTcpIp, cfg, 1));
   }
+  const auto run_grid = [&](unsigned workers) {
+    std::vector<harness::RecoveryResult> out;
+    for (std::size_t li = 0; li < std::size(layouts); ++li) {
+      harness::RecoveryRunSpec slice;
+      slice.common.workers = workers;
+      slice.costs = tables[li];
+      for (const auto& s : specs) {
+        if (s.fleet.config.name == layouts[li].name) slice.rows.push_back(s);
+      }
+      const auto part = harness::run(slice).recovery;
+      out.insert(out.end(), part.begin(), part.end());
+    }
+    return out;
+  };
+  const std::vector<harness::RecoveryResult> rows = run_grid(0);
 
   harness::Table t("Recovery latency under scripted failures (" +
                    std::to_string(packets) +
@@ -176,24 +183,12 @@ int main(int argc, char** argv) {
 
   // Determinism across worker counts: the whole grid re-run single-threaded
   // must dump byte-identically.
-  {
-    harness::RecoveryRunner serial(1);
-    std::vector<harness::RecoveryResult> rows2;
-    for (std::size_t li = 0; li < std::size(layouts); ++li) {
-      std::vector<harness::RecoverySpec> slice;
-      for (const auto& s : specs) {
-        if (s.fleet.config.name == layouts[li].name) slice.push_back(s);
-      }
-      auto part = serial.run(slice, tables[li]);
-      rows2.insert(rows2.end(), part.begin(), part.end());
-    }
-    if (harness::recovery_json(tables[0], rows2).dump() != grid_dump) {
-      std::fprintf(stderr,
-                   "FAIL: grid is not byte-identical across RecoveryRunner "
-                   "worker counts (%u vs 1)\n",
-                   runner.thread_count());
-      ++failures;
-    }
+  if (harness::recovery_json(tables[0], run_grid(1)).dump() != grid_dump) {
+    std::fprintf(stderr,
+                 "FAIL: grid is not byte-identical across harness::run "
+                 "worker counts (%u vs 1)\n",
+                 harness::resolve_workers(0));
+    ++failures;
   }
 
   // --- orderings -----------------------------------------------------------

@@ -129,6 +129,18 @@ struct FlowCacheStats {
   double stale_ratio() const noexcept {
     return lookups != 0 ? static_cast<double>(stale_hits) / lookups : 0.0;
   }
+  /// Field-wise sum (aggregating per-core caches); covers every field.
+  FlowCacheStats& operator+=(const FlowCacheStats& o) noexcept {
+    lookups += o.lookups;
+    hits += o.hits;
+    misses += o.misses;
+    stale_hits += o.stale_hits;
+    unkeyed += o.unkeyed;
+    rules_examined += o.rules_examined;
+    unmatched_scans += o.unmatched_scans;
+    cost_us += o.cost_us;
+    return *this;
+  }
 };
 
 class FlowCache {

@@ -109,10 +109,9 @@ code::CodeImage build_image(net::StackKind kind, const code::StackConfig& cfg,
                             const MachineParams& params);
 
 /// Everything measure_side() needs for one side of one configuration,
-/// bundled.  The former positional signatures grew to 7-8 parameters (and a
-/// second entry point for off-profile replays); the struct form names every
-/// field, defaults the profile to the replayed trace, and leaves room for
-/// measurement options like profile_misses without another signature.
+/// bundled: the struct names every field, defaults the profile to the
+/// replayed trace, and leaves room for measurement options like
+/// profile_misses without another signature.
 struct MeasureSpec {
   net::StackKind kind = net::StackKind::kTcpIp;
   code::StackConfig cfg;
@@ -183,22 +182,6 @@ struct StreamMeasurement {
 /// Throws std::invalid_argument on a null registry/trace or an empty
 /// stream.
 StreamMeasurement measure_stream(const StreamSpec& spec);
-
-/// Deprecated positional wrapper around measure_side(MeasureSpec); produces
-/// byte-identical numbers (tested).  Prefer the struct form.
-SideMeasurement measure_side(net::StackKind kind, const code::StackConfig& cfg,
-                             const code::CodeRegistry& reg,
-                             const code::PathTrace& trace, std::size_t split,
-                             std::uint64_t seed_offset,
-                             const MachineParams& params);
-
-/// Deprecated positional wrapper for the off-profile case (MeasureSpec with
-/// `profile` pointing at the mainline capture).  Prefer the struct form.
-SideMeasurement measure_side_with_profile(
-    net::StackKind kind, const code::StackConfig& cfg,
-    const code::CodeRegistry& reg, const code::PathTrace& profile,
-    const code::PathTrace& trace, std::size_t split,
-    std::uint64_t seed_offset, const MachineParams& params);
 
 /// Combine two side measurements into the end-to-end numbers (Tables 4/5).
 ConfigResult combine_sides(SideMeasurement client, SideMeasurement server,

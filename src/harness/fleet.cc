@@ -1,40 +1,16 @@
 #include "harness/fleet.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
-#include "harness/fleet_internal.h"
-#include "harness/runner.h"
+#include "harness/driver.h"
 #include "protocols/lance.h"
-#include "protocols/tcp.h"
 
 namespace l96::harness {
 
-namespace {
-
-std::uint64_t fnv1a_seed() { return 1469598103934665603ULL; }
-
-void fnv1a_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-}
-
-template <typename T>
-void fnv1a_value(std::uint64_t& h, T v) {
-  fnv1a_bytes(h, &v, sizeof(v));
-}
-
-}  // namespace
-
 std::uint64_t machine_params_key(const MachineParams& p) {
-  std::uint64_t h = fnv1a_seed();
+  std::uint64_t h = kSampleDigestSeed;
   fnv1a_value(h, p.mem.icache_bytes);
   fnv1a_value(h, p.mem.dcache_bytes);
   fnv1a_value(h, p.mem.bcache_bytes);
@@ -110,8 +86,7 @@ BurstCostTable measure_burst_costs(net::StackKind kind,
     StreamSpec slow_stream;
     slow_stream.base = sspec;
     // The slow trace is the stream's base activation so warm-up replays it
-    // (exactly what the single-activation steady replay did — slow_us[0]
-    // is byte-identical to the pre-burst FleetCosts.slow_us); the image
+    // (exactly what the single-activation steady replay does); the image
     // profile stays the fast capture.
     slow_stream.base.trace = &slow_trace;
     slow_stream.base.profile = &e.server_trace();
@@ -122,17 +97,6 @@ BurstCostTable measure_burst_costs(net::StackKind kind,
     table.slow_us.push_back(slow.steady_us());
   }
   return table;
-}
-
-FleetCosts measure_fleet_costs(net::StackKind kind,
-                               const code::StackConfig& cfg,
-                               const MachineParams& params) {
-  const BurstCostTable t = measure_burst_costs(kind, cfg, 1, params);
-  FleetCosts costs;
-  costs.controller_us = t.controller_us;
-  costs.fast_us = t.fast_us.front();
-  costs.slow_us = t.slow_us.front();
-  return costs;
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s, std::uint64_t seed)
@@ -161,34 +125,8 @@ std::size_t ZipfSampler::next() {
 
 namespace fleet_detail {
 
-std::uint64_t fnv1a_init() { return fnv1a_seed(); }
-
-void fnv1a_value_d(std::uint64_t& h, double v) { fnv1a_bytes(h, &v, sizeof v); }
-
-LatencyPercentiles percentiles(std::vector<double> s) {
-  LatencyPercentiles p;
-  if (s.empty()) return p;
-  std::sort(s.begin(), s.end());
-  const auto at = [&](double q) {
-    std::size_t i = static_cast<std::size_t>(q * static_cast<double>(s.size()));
-    if (i >= s.size()) i = s.size() - 1;
-    return s[i];
-  };
-  p.p50 = at(0.50);
-  p.p90 = at(0.90);
-  p.p99 = at(0.99);
-  p.p999 = at(0.999);
-  double sum = 0;
-  for (double v : s) sum += v;
-  p.mean = sum / static_cast<double>(s.size());
-  p.max = s.back();
-  return p;
-}
-
 std::vector<ScheduledBurst> build_schedule(const FleetSpec& spec) {
-  // Byte-identical to the decision sequence the pre-shard engine made
-  // inline: one Zipf draw per burst, the last burst truncated, and the
-  // flat engine's churn condition evaluated against the global sent count.
+  // The only Zipf sampler in the harness: every row walks this sequence.
   std::vector<ScheduledBurst> schedule;
   ZipfSampler zipf(spec.connections, spec.zipf_s, spec.seed);
   std::uint64_t sent = 0;
@@ -212,429 +150,57 @@ std::size_t conn_bucket_count(std::size_t flows) {
   return buckets;
 }
 
-}  // namespace fleet_detail
-
-namespace {
-
-using fleet_detail::CoreRunResult;
-using fleet_detail::kFleetClientPortBase;
-using fleet_detail::kFleetRpcProcBase;
-using fleet_detail::kFleetServerPort;
-using fleet_detail::kMaxFlowsPerWorld;
-using fleet_detail::ScheduledBurst;
-using fleet_detail::TaggedSample;
-
-/// Connections are opened in waves this big: a wave's handshakes complete
-/// before the next wave's SYNs are offered, so a large fleet never queues
-/// thousands of SYNs behind the 10 Mb/s wire into an RTO storm.  Fleets at
-/// or under the wave size establish exactly like the pre-shard engine
-/// (connect everything, then wait), which keeps small-fleet runs — and
-/// recovery.cc's mirror of them — byte-identical.
-constexpr std::size_t kEstablishWave = 256;
-
-/// Server-side sink: counts delivered messages (no echo — the schedule is
-/// client-driven; the server's TCP still ACKs).
-class FleetSink final : public proto::TcpUpper {
- public:
-  void tcp_receive(proto::TcpConn&, xk::Message& m) override {
-    ++messages;
-    bytes += m.length();
-  }
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-};
-
-class FleetSource final : public proto::TcpUpper {
- public:
-  void tcp_established(proto::TcpConn&) override { ++established; }
-  void tcp_receive(proto::TcpConn&, xk::Message&) override {}
-  /// Running count of client-side establishments — lets a fleet of any
-  /// size wait for its handshakes with an O(1) predicate (the pre-shard
-  /// engine scanned every connection's state on every event, which turned
-  /// establishment quadratic).  The count crosses each threshold at
-  /// exactly the event the state scan would have, so the world's timeline
-  /// is unchanged.
-  std::uint64_t established = 0;
-};
-
-[[noreturn]] void fleet_fail(const FleetSpec& spec, const char* what,
-                             std::uint64_t packet) {
-  throw std::runtime_error("fleet run stalled (" +
-                           (spec.label.empty() ? std::string("unlabeled")
-                                               : spec.label) +
-                           ", scheme=" + code::to_string(spec.scheme) +
-                           "): " + what + " at scheduled packet " +
-                           std::to_string(packet));
-}
-
-std::uint64_t fnv1a_samples(const std::vector<double>& samples) {
-  std::uint64_t h = fnv1a_seed();
-  for (double v : samples) fnv1a_value(h, v);
-  return h;
-}
-
-/// Burst pricing state shared between the schedule loop and the deliver
-/// hook.  The loop marks the span of each scheduled burst; the hook prices
-/// every delivery at the current burst position.  Outside a burst (churn
-/// handshakes) frames are priced as independent first-in-burst activations
-/// and the position does not advance — so batch == 1 reproduces the
-/// pre-burst pricing byte for byte.
-struct BurstPricer {
-  const BurstCostTable* costs = nullptr;
-  bool in_burst = false;
-  std::size_t pos = 0;
-
-  void begin_burst() {
-    in_burst = true;
-    pos = 0;
-  }
-  void end_burst() { in_burst = false; }
-
-  /// Price one delivery and advance the position.
-  double price(const code::FlowLookupResult& lr, bool slow) {
-    const std::size_t at = in_burst ? pos : 0;
-    double us = costs->controller_us + lr.cost_us;
-    if (slow) {
-      us += costs->slow_at(at);
-      // The standalone slow-path code just swept through the primary
-      // caches; the next packet of the burst re-warms from scratch.
-      pos = 0;
-    } else {
-      us += costs->fast_at(at);
-      if (in_burst) ++pos;
-    }
-    return us;
-  }
-};
-
-/// The flows `core_id` owns, in ascending global order (the establishment
-/// order, and the order local ports are assigned in).
-std::vector<std::size_t> owned_flows(const FleetSpec& spec,
-                                     const std::vector<std::uint32_t>& flow_core,
-                                     std::uint32_t core_id) {
-  std::vector<std::size_t> owned;
-  for (std::size_t i = 0; i < spec.connections; ++i) {
-    if (flow_core[i] == core_id) owned.push_back(i);
-  }
-  return owned;
-}
-
-void finish_core(CoreRunResult& out, net::World& world) {
-  FleetResult& r = out.result;
-  r.packets_sampled = out.samples.size();
-  r.cache = world.server().flow_cache()->stats();
-  std::vector<double> flat;
-  flat.reserve(out.samples.size());
-  for (const TaggedSample& s : out.samples) flat.push_back(s.us);
-  r.latency = fleet_detail::percentiles(flat);
-  r.sim_us = static_cast<double>(world.events().now());
-  r.sample_digest = fnv1a_samples(flat);
-}
-
-CoreRunResult run_fleet_core_tcp(const FleetSpec& spec,
-                                 const BurstCostTable& costs,
-                                 const std::vector<ScheduledBurst>& schedule,
-                                 const std::vector<std::uint32_t>& flow_core,
-                                 std::uint32_t core_id, bool local_ports) {
-  const std::vector<std::size_t> owned = owned_flows(spec, flow_core, core_id);
-  CoreRunResult out;
-  FleetResult& r = out.result;
-  r.spec = spec;
-  r.sample_digest = fnv1a_samples({});
-  if (owned.empty()) return out;
-  if (owned.size() > kMaxFlowsPerWorld) {
-    throw std::invalid_argument(
-        "run_fleet_core: " + std::to_string(owned.size()) +
-        " flows on one core exceed the per-world client port space (" +
-        std::to_string(kMaxFlowsPerWorld) + ") — use more cores");
-  }
-
-  // With global ports, flow i keeps the wire identity the flat engine gave
-  // it (client port base + i) — so a 1-core shard run is the flat run.
-  // With local ports, the core re-uses its own port space (base + local
-  // index) and global identity lives in the steering key instead.
-  const auto port_of = [&](std::size_t local) {
-    const std::size_t id = local_ports ? local : owned[local];
-    return static_cast<std::uint16_t>(kFleetClientPortBase + id);
-  };
-
-  net::WorldOptions options;
-  options.tcp_conn_buckets = fleet_detail::conn_bucket_count(owned.size());
-  net::World world(net::StackKind::kTcpIp, spec.config, spec.config, options);
-  world.server().enable_flow_cache(spec.scheme, spec.cache_capacity,
-                                   spec.cache_costs);
-  if (spec.rules > 0) {
-    world.server().install_scaled_classifier(spec.rules, spec.rule_seed);
-  }
-
-  FleetSink sink;
-  FleetSource source;
-  world.server().tcp()->listen(kFleetServerPort, &sink);
-
-  std::vector<proto::TcpConn*> conns(owned.size(), nullptr);
-  for (std::size_t wave = 0; wave < owned.size(); wave += kEstablishWave) {
-    const std::size_t wave_end =
-        std::min(owned.size(), wave + kEstablishWave);
-    for (std::size_t j = wave; j < wave_end; ++j) {
-      conns[j] = world.client().tcp()->connect(world.server().address().ip,
-                                               port_of(j), kFleetServerPort,
-                                               &source);
-    }
-    if (!world.run_until([&] { return source.established >= wave_end; },
-                         60'000'000)) {
-      fleet_fail(spec, "connection fleet did not establish", 0);
-    }
-  }
-  // The last connection is established the instant the client processes
-  // its SYN-ACK — its handshake ACK is still in flight.  Let the world go
-  // quiet so those deliveries don't leak into the measured schedule.
-  world.run_until([] { return false; }, 500'000);
-
-  // Handshake traffic warmed the cache; measure the schedule only.
-  world.server().flow_cache()->reset_stats();
-  out.samples.reserve(spec.packets / (core_id + 1) + 16);
-  BurstPricer pricer;
-  pricer.costs = &costs;
-  std::uint64_t current_burst = 0;
-  world.server().set_deliver_hook(
-      [&](const code::FlowLookupResult& lr, bool slow) {
-        const double us = pricer.price(lr, slow);
-        out.samples.push_back({current_burst, pricer.in_burst ? 0u : 1u, us});
-        if (pricer.in_burst) {
-          ++r.scheduled_sampled;
-        } else {
-          ++r.handshake_sampled;
-        }
-        if (slow) ++r.slow_packets;
-      });
-
-  std::array<std::uint8_t, 32> payload{};
-  payload.fill(0x5A);
-  const bool churn_here = flow_core[0] == core_id;
-  std::uint64_t sent = 0;  // this core's scheduled sends
-  for (std::size_t b = 0; b < schedule.size(); ++b) {
-    const ScheduledBurst& sb = schedule[b];
-    current_burst = b;
-    if (flow_core[sb.flow] == core_id) {
-      // This burst is ours, whole: per-flow coalescing never crosses a
-      // shard boundary because a flow lives on exactly one core.
-      const std::size_t k = static_cast<std::size_t>(
-          std::lower_bound(owned.begin(), owned.end(), sb.flow) -
-          owned.begin());
-      ++r.bursts;
-      pricer.begin_burst();
-      for (std::uint64_t j = 0; j < sb.len; ++j) {
-        conns[k]->send(payload);
-        ++sent;
-        if (!world.run_until([&] { return sink.messages >= sent; },
-                             60'000'000)) {
-          fleet_fail(spec, "scheduled packet was not delivered", sent - 1);
-        }
-      }
-      pricer.end_burst();
-
-      // Conservation: every scheduled packet of the burst was priced while
-      // the burst was open (delivery is awaited above); anything short of
-      // that was torn down in flight and must be accounted, not ignored.
-      const std::uint64_t priced_now =
-          r.scheduled_sampled + r.dropped_in_churn;
-      if (priced_now < sent) r.dropped_in_churn += sent - priced_now;
-    }
-
-    if (sb.churn_after && churn_here) {
-      // Close and reopen the hottest flow.  Quiesce it first so no data is
-      // in flight, tear down both endpoints (the server-side unbind fires
-      // the demux hook and marks the flow's cache entry stale), then
-      // reconnect on the same 4-tuple: the reopened flow's first inbound
-      // frame is a stale hit and replays through the slow path.  Global
-      // flow 0 is this core's local index 0 (ownership lists ascend).
-      if (!world.run_until([&] { return conns[0]->bytes_unacked() == 0; },
-                           60'000'000)) {
-        fleet_fail(spec, "churn victim did not quiesce", sent - 1);
-      }
-      for (auto* c : world.server().tcp()->connections()) {
-        if (c->remote_port() == port_of(0) &&
-            c->local_port() == kFleetServerPort) {
-          world.server().tcp()->destroy(c);
-          break;
-        }
-      }
-      world.client().tcp()->destroy(conns[0]);
-      conns[0] = world.client().tcp()->connect(world.server().address().ip,
-                                               port_of(0), kFleetServerPort,
-                                               &source);
-      if (!world.run_until(
-              [&] {
-                return conns[0]->state() == proto::TcpState::kEstablished;
-              },
-              60'000'000)) {
-        fleet_fail(spec, "churned connection did not re-establish", sent - 1);
-      }
-      // Established fires when the client processes the SYN-ACK; its
-      // handshake ACK is still in flight.  Drain it now, outside any
-      // burst, so it is priced as handshake traffic at position 0 and
-      // cannot advance the next burst's position.
-      world.run_until([] { return false; }, 500'000);
-      ++r.churns;
-    }
-  }
-
-  finish_core(out, world);
-  return out;
-}
-
-CoreRunResult run_fleet_core_rpc(const FleetSpec& spec,
-                                 const BurstCostTable& costs,
-                                 const std::vector<ScheduledBurst>& schedule,
-                                 const std::vector<std::uint32_t>& flow_core,
-                                 std::uint32_t core_id, bool local_ports) {
-  const std::vector<std::size_t> owned = owned_flows(spec, flow_core, core_id);
-  CoreRunResult out;
-  FleetResult& r = out.result;
-  r.spec = spec;
-  r.sample_digest = fnv1a_samples({});
-  if (owned.empty()) return out;
-  const std::size_t max_procs = 65'536 - kFleetRpcProcBase;
-  if (owned.size() > max_procs) {
-    throw std::invalid_argument(
-        "run_fleet_core: " + std::to_string(owned.size()) +
-        " RPC flows on one core exceed the 16-bit procedure space — use "
-        "more cores");
-  }
-
-  const auto proc_of = [&](std::size_t local) {
-    const std::size_t id = local_ports ? local : owned[local];
-    return static_cast<std::uint16_t>(kFleetRpcProcBase + id);
-  };
-
-  net::World world(net::StackKind::kRpc, spec.config, spec.config);
-  world.server().enable_flow_cache(spec.scheme, spec.cache_capacity,
-                                   spec.cache_costs);
-  if (spec.rules > 0) {
-    world.server().install_scaled_classifier(spec.rules, spec.rule_seed);
-  }
-
-  for (std::size_t j = 0; j < owned.size(); ++j) {
-    world.server().mselect()->register_service(
-        proc_of(j), [&world](xk::Message& req) {
-          xk::Message reply(world.server().arena(), 0, 1);
-          reply.data()[0] = static_cast<std::uint8_t>(req.length() & 0xFF);
-          return reply;
-        });
-  }
-
-  out.samples.reserve(spec.packets / (core_id + 1) + 16);
-  BurstPricer pricer;
-  pricer.costs = &costs;
-  std::uint64_t current_burst = 0;
-  world.server().set_deliver_hook(
-      [&](const code::FlowLookupResult& lr, bool slow) {
-        const double us = pricer.price(lr, slow);
-        out.samples.push_back({current_burst, pricer.in_burst ? 0u : 1u, us});
-        if (pricer.in_burst) {
-          ++r.scheduled_sampled;
-        } else {
-          ++r.handshake_sampled;
-        }
-        if (slow) ++r.slow_packets;
-      });
-
-  std::uint64_t done = 0;
-  std::uint64_t sent = 0;
-  for (std::size_t b = 0; b < schedule.size(); ++b) {
-    const ScheduledBurst& sb = schedule[b];
-    current_burst = b;
-    if (flow_core[sb.flow] != core_id) continue;
-    const std::size_t k = static_cast<std::size_t>(
-        std::lower_bound(owned.begin(), owned.end(), sb.flow) -
-        owned.begin());
-    ++r.bursts;
-    pricer.begin_burst();
-    for (std::uint64_t j = 0; j < sb.len; ++j) {
-      xk::Message req(world.client().arena(), 128, 16);
-      world.client().mselect()->call(proc_of(k), req,
-                                     [&](xk::Message&) { ++done; });
-      ++sent;
-      if (!world.run_until([&] { return done >= sent; }, 60'000'000)) {
-        fleet_fail(spec, "scheduled call did not complete", sent - 1);
-      }
-    }
-    pricer.end_burst();
-  }
-
-  finish_core(out, world);
-  return out;
-}
-
-void check_costs(const FleetSpec& spec, const BurstCostTable& costs) {
-  if (costs.fast_us.empty() || costs.slow_us.size() != costs.fast_us.size()) {
-    throw std::invalid_argument(
-        "run_fleet: malformed cost table (needs >= 1 position and equal "
-        "fast/slow sizes)");
-  }
-  if (costs.kind != spec.kind || costs.config_name != spec.config.name) {
-    throw std::invalid_argument(
-        "run_fleet: cost table measured for " + costs.config_name +
-        " does not match row config " + spec.config.name);
-  }
-  if (costs.params_key != machine_params_key(spec.params)) {
-    throw std::invalid_argument(
-        "run_fleet: cost table was measured under different MachineParams "
-        "than row '" +
-        (spec.label.empty() ? std::string("unlabeled") : spec.label) +
-        "' — measure_burst_costs() once per distinct params (cache-size "
-        "sweeps must not reuse the defaults' costs)");
-  }
-}
-
-}  // namespace
-
-namespace fleet_detail {
-
-CoreRunResult run_fleet_core(const FleetSpec& spec,
-                             const BurstCostTable& costs,
-                             const std::vector<ScheduledBurst>& schedule,
-                             const std::vector<std::uint32_t>& flow_core,
-                             std::uint32_t core_id, bool local_ports) {
+driver::Run run_fleet_core(const FleetSpec& spec, const BurstCostTable& costs,
+                           const std::vector<ScheduledBurst>& schedule,
+                           const std::vector<std::uint32_t>& flow_core,
+                           std::uint32_t core_id, bool local_ports) {
   if (flow_core.size() != spec.connections) {
     throw std::invalid_argument(
         "run_fleet_core: flow_core must map every connection");
   }
-  return spec.kind == net::StackKind::kTcpIp
-             ? run_fleet_core_tcp(spec, costs, schedule, flow_core, core_id,
-                                  local_ports)
-             : run_fleet_core_rpc(spec, costs, schedule, flow_core, core_id,
-                                  local_ports);
-}
+  const auto flows = static_cast<std::size_t>(
+      std::count(flow_core.begin(), flow_core.end(), core_id));
+  driver::Run run;
+  run.result.spec = spec;
+  run.result.sample_digest = sample_digest({});
+  if (flows == 0) return run;
+  const bool tcp = spec.kind == net::StackKind::kTcpIp;
+  if (flows > (tcp ? kMaxFlowsPerWorld : 65'536 - kFleetRpcProcBase)) {
+    throw std::invalid_argument(
+        "run_fleet_core: " + std::to_string(flows) +
+        " flows on one core exceed the per-world " +
+        (tcp ? "client port" : "RPC procedure") + " space — use more cores");
+  }
 
-void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs) {
-  if (!spec.config.path_inlining) {
-    throw std::invalid_argument(
-        "run_fleet: spec.config must have path_inlining enabled (the flow "
-        "cache guards path-inlined inbound code)");
+  net::WorldOptions options;
+  options.tcp_conn_buckets = conn_bucket_count(flows);
+  net::World world(spec.kind, spec.config, spec.config, options);
+  world.server().enable_flow_cache(spec.scheme, spec.cache_capacity,
+                                   spec.cache_costs);
+  if (spec.rules > 0) {
+    world.server().install_scaled_classifier(spec.rules, spec.rule_seed);
   }
-  if (spec.connections == 0 || spec.packets == 0) {
-    throw std::invalid_argument(
-        "run_fleet: connections and packets must be > 0");
-  }
-  if (spec.params.classifier_overhead_us != 0.0) {
-    // Exactly one classification cost model per measurement: fleet rows
-    // price every lookup through FlowCacheCosts (hit_us / probe_us /
-    // per_rule_us); the flat analytic classifier_overhead_us knob belongs
-    // to the single-roundtrip te formulas (combine_sides).  Accepting both
-    // here would charge classification twice per packet.
-    throw std::invalid_argument(
-        "run_fleet: classifier_overhead_us must be 0 for fleet rows — "
-        "classification is priced via FlowCacheCosts, not the flat "
-        "analytic knob");
-  }
-  check_costs(spec, costs);
+
+  driver::Plan plan;
+  plan.row = "fleet run stalled (" +
+             (spec.label.empty() ? std::string("unlabeled") : spec.label) +
+             ", scheme=" + code::to_string(spec.scheme) + ")";
+  plan.schedule = &schedule;
+  plan.packets = spec.packets;
+  plan.flow_core = &flow_core;
+  plan.core = core_id;
+  plan.local_ports = local_ports;
+  plan.pricer.burst = &costs;
+  run = driver::drive(driver::pair(world), plan);
+  run.result.spec = spec;
+  run.result.cache = world.server().flow_cache()->stats();
+  return run;
 }
 
 }  // namespace fleet_detail
 
 FleetResult run_fleet(const FleetSpec& spec, const BurstCostTable& costs) {
-  fleet_detail::validate_fleet_spec(spec, costs);
+  driver::check_costs("run_fleet", spec, costs);
   if (spec.connections > fleet_detail::kMaxFlowsPerWorld) {
     throw std::invalid_argument(
         "run_fleet: " + std::to_string(spec.connections) +
@@ -646,56 +212,20 @@ FleetResult run_fleet(const FleetSpec& spec, const BurstCostTable& costs) {
   const std::vector<fleet_detail::ScheduledBurst> schedule =
       fleet_detail::build_schedule(spec);
   const std::vector<std::uint32_t> flow_core(spec.connections, 0);
-  fleet_detail::CoreRunResult core = fleet_detail::run_fleet_core(
-      spec, costs, schedule, flow_core, /*core_id=*/0, /*local_ports=*/false);
-  return std::move(core.result);
-}
-
-FleetRunner::FleetRunner(unsigned threads)
-    : threads_(resolve_workers(threads)) {}
-
-std::vector<FleetResult> FleetRunner::run(const std::vector<FleetSpec>& specs,
-                                          const BurstCostTable& costs) {
-  // Thin wrapper over the unified runner entry point (harness/runner.h);
-  // byte-identical to the historical inline pool by test.
-  FleetRunSpec rs;
-  rs.common.workers = threads_;
-  rs.rows = specs;
-  rs.costs = costs;
-  Outcome o = harness::run(rs);
-  workers_used_ = o.workers_used;
-  return std::move(o.fleet);
+  return fleet_detail::run_fleet_core(spec, costs, schedule, flow_core,
+                                      /*core_id=*/0, /*local_ports=*/false)
+      .result;
 }
 
 Json fleet_json(const BurstCostTable& costs,
                 const std::vector<FleetResult>& rows) {
   Json section = emit_section("fleet", 2);
-  Json fast = Json::array();
-  for (double v : costs.fast_us) fast.push_back(v);
-  Json slow = Json::array();
-  for (double v : costs.slow_us) slow.push_back(v);
-  section.set("costs",
-              Json::object()
-                  .set("controller_us", costs.controller_us)
-                  .set("fast_us", std::move(fast))
-                  .set("slow_us", std::move(slow))
-                  .set("config", costs.config_name)
-                  .set("params_key", costs.params_key));
+  section.set("costs", costs_json(costs));
   Json out_rows = Json::array();
   for (const FleetResult& r : rows) {
     const FleetSpec& s = r.spec;
-    Json row = Json::object();
-    row.set("label", s.label)
-        .set("kind", s.kind == net::StackKind::kTcpIp ? "tcpip" : "rpc")
-        .set("config", s.config.name)
-        .set("scheme", code::to_string(s.scheme))
-        .set("connections", static_cast<std::uint64_t>(s.connections))
-        .set("packets", s.packets)
-        .set("batch", static_cast<std::uint64_t>(s.batch))
-        .set("zipf_s", s.zipf_s)
-        .set("seed", s.seed)
-        .set("cache_capacity", static_cast<std::uint64_t>(s.cache_capacity))
-        .set("rules", static_cast<std::uint64_t>(s.rules))
+    Json row = fleet_row_json(s, /*with_kind=*/true);
+    row.set("rules", static_cast<std::uint64_t>(s.rules))
         .set("rule_seed", s.rule_seed)
         .set("cache_costs", Json::object()
                                 .set("measured", s.cache_costs.measured)
@@ -710,24 +240,8 @@ Json fleet_json(const BurstCostTable& costs,
         .set("bursts", r.bursts)
         .set("slow_packets", r.slow_packets)
         .set("churns", r.churns)
-        .set("cache", Json::object()
-                          .set("lookups", r.cache.lookups)
-                          .set("hits", r.cache.hits)
-                          .set("misses", r.cache.misses)
-                          .set("stale_hits", r.cache.stale_hits)
-                          .set("unkeyed", r.cache.unkeyed)
-                          .set("unmatched_scans", r.cache.unmatched_scans)
-                          .set("rules_examined", r.cache.rules_examined)
-                          .set("hit_ratio", r.cache.hit_ratio())
-                          .set("stale_ratio", r.cache.stale_ratio())
-                          .set("cost_us", r.cache.cost_us))
-        .set("latency_us", Json::object()
-                               .set("p50", r.latency.p50)
-                               .set("p90", r.latency.p90)
-                               .set("p99", r.latency.p99)
-                               .set("p999", r.latency.p999)
-                               .set("mean", r.latency.mean)
-                               .set("max", r.latency.max))
+        .set("cache", cache_json(r.cache, CacheFields::kFleet))
+        .set("latency_us", percentiles_json(r.latency))
         .set("sim_us", r.sim_us)
         .set("sample_digest", r.sample_digest);
     out_rows.push_back(std::move(row));

@@ -1,4 +1,4 @@
-// FleetRunner: many concurrent connections over one net::World, demuxed
+// Fleet rows: many concurrent connections over one net::World, demuxed
 // through a flow cache (code/flow_cache.h) in front of the classifier's
 // rule scan.
 //
@@ -16,22 +16,16 @@
 //  * prices every inbound server frame as
 //        controller/wire + cache-lookup cost + processing time,
 //    where processing time comes from a *position-indexed* burst cost
-//    table: the first packet of a burst pays the full steady replay
-//    (untraced code scrubbed the primary caches since the last burst),
-//    later packets pay the amortized cost of replaying under the residue
-//    their predecessors left behind (harness::measure_stream).  A stale
-//    cache hit (connection churned, entry resident) routes through the
-//    standalone slow path at its burst position and breaks the carryover
-//    for the packet after it, and
+//    table (BurstCostTable; a stale hit — connection churned, entry
+//    resident — takes the standalone slow path at its burst position), and
 //  * optionally churns the hottest connection every K packets (close +
 //    reopen), so the demux map's unbind hook invalidates the flow and the
 //    next frame takes a measured stale hit.
 //
-// Everything is a pure function of the spec: fixed seed + spec => byte-
-// identical samples, regardless of how many FleetRunner worker threads
-// measured the grid (results are stored by row index, one private World
-// per row).  batch == 1 reproduces the pre-burst engine exactly: every
-// packet is first-in-burst and pays fast_us[0] / slow_us[0].
+// The packets are driven by harness/driver.h, the engine every fleet-
+// shaped row shares.  Fixed seed + spec => byte-identical samples for any
+// harness::run worker count (one private World per row); batch == 1 makes
+// every packet first-in-burst, paying fast_us[0] / slow_us[0].
 #pragma once
 
 #include <cstdint>
@@ -41,6 +35,7 @@
 #include "code/flow_cache.h"
 #include "harness/experiment.h"
 #include "harness/json.h"
+#include "harness/stats.h"
 
 namespace l96::harness {
 
@@ -79,29 +74,12 @@ struct BurstCostTable {
 /// `kind`: capture the server's receive activation, price a back-to-back
 /// stream of it (fast_us[p] = position p of measure_stream), then price
 /// the marker-bracketed slow-path form entered after p fast activations
-/// (slow_us[p]).  fast_us[0] / slow_us[0] are byte-identical to the
-/// pre-burst FleetCosts fast_us / slow_us (tested).
+/// (slow_us[p]).
 BurstCostTable measure_burst_costs(net::StackKind kind,
                                    const code::StackConfig& cfg,
                                    std::size_t max_positions = 1,
                                    const MachineParams& params =
                                        MachineParams::defaults());
-
-/// Deprecated flat view of a 1-position table (the pre-burst pricing).
-/// Kept so the batch-size-1 equivalence stays testable; prefer
-/// BurstCostTable.
-struct FleetCosts {
-  double controller_us = 0;  ///< one controller+wire traversal (min frame)
-  double fast_us = 0;        ///< steady receive-activation processing time
-  double slow_us = 0;        ///< same activation through the standalone
-                             ///< slow path (guard failure / stale hit)
-};
-
-/// Deprecated wrapper: measure_burst_costs with one position, flattened.
-FleetCosts measure_fleet_costs(net::StackKind kind,
-                               const code::StackConfig& cfg,
-                               const MachineParams& params =
-                                   MachineParams::defaults());
 
 /// Seeded Zipf(s) sampler over {0, ..., n-1}: P(k) proportional to
 /// 1/(k+1)^s (s = 0 is uniform).  Deterministic: xorshift64* over the
@@ -151,11 +129,6 @@ struct FleetSpec {
   MachineParams params = MachineParams::defaults();
 };
 
-struct LatencyPercentiles {
-  double p50 = 0, p90 = 0, p99 = 0, p999 = 0;
-  double mean = 0, max = 0;
-};
-
 struct FleetResult {
   FleetSpec spec;                   ///< echoed for reporting
   std::uint64_t packets_sampled = 0;  ///< inbound frames priced at the server
@@ -180,24 +153,6 @@ struct FleetResult {
 /// world stalls before the schedule completes, and std::invalid_argument
 /// when the cost table does not match the spec's kind/config/params.
 FleetResult run_fleet(const FleetSpec& spec, const BurstCostTable& costs);
-
-/// Worker pool over independent fleet rows; results ordered by row index
-/// and byte-identical for any thread count.
-class FleetRunner {
- public:
-  /// `threads` = 0 picks the hardware concurrency, floored at 2.
-  explicit FleetRunner(unsigned threads = 0);
-
-  std::vector<FleetResult> run(const std::vector<FleetSpec>& specs,
-                               const BurstCostTable& costs);
-
-  unsigned thread_count() const noexcept { return threads_; }
-  std::size_t workers_used() const noexcept { return workers_used_; }
-
- private:
-  unsigned threads_;
-  std::size_t workers_used_ = 0;
-};
 
 /// The rows + shared position-indexed costs as a schema-versioned section
 /// (`l96.fleet.v2`) for SweepOutcome::extra_json / standalone emission.

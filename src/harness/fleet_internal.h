@@ -1,36 +1,23 @@
-// Internal fleet-engine surface shared by the flat runner (run_fleet) and
-// the sharded runner (harness/shard.h).
-//
-// The engine is split into three deterministic pieces so a sharded run can
-// reproduce the flat run exactly:
-//
-//  1. build_schedule(): the global burst schedule — Zipf flow draws, burst
-//     lengths, and churn marks — as a pure function of the spec.  Both
-//     engines replay this one sequence, so the decisions (which flow,
-//     how many packets, when to churn) never depend on core count.
-//  2. run_fleet_core(): execute the subset of the schedule owned by one
-//     core against that core's private World (its own sim::MemorySystem
-//     arena, FlowCache, demux map, and connection population).  A burst is
-//     steered whole — per-flow coalescing never crosses a shard boundary —
-//     and every priced sample is tagged with its global (burst, phase)
-//     merge key.
-//  3. The caller merges per-core sample streams in global schedule order.
-//     With one core the merged stream IS the flat engine's append order,
-//     which pins run_fleet byte-for-byte (tests + bench enforce).
-//
-// This header is in-tree plumbing for harness/{fleet,shard}.cc and the
-// tests; it is not a public API.
+// Internal fleet-engine plumbing shared by the flat, sharded, recovery
+// and LB rows and the packet driver (harness/driver.h): the wire
+// identities, the one global burst schedule every row walks, and the
+// per-core execution the sharded runner splits a row into (see
+// harness/shard.h).  Not a public API.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "harness/fleet.h"
 
+namespace l96::harness::driver {
+struct Run;
+}  // namespace l96::harness::driver
+
 namespace l96::harness::fleet_detail {
 
-/// Ports/procs the fleet engine owns (shared with recovery.cc's mirror of
-/// the engine loop).
+/// Ports/procs every fleet-shaped row uses.
 inline constexpr std::uint16_t kFleetServerPort = 7000;
 inline constexpr std::uint16_t kFleetClientPortBase = 10'000;
 inline constexpr std::uint16_t kFleetRpcProcBase = 100;
@@ -42,33 +29,17 @@ inline constexpr std::size_t kMaxFlowsPerWorld =
     65'536 - kFleetClientPortBase;
 
 /// One globally-scheduled burst: `len` back-to-back packets on `flow`.
+/// The schedule is a pure function of the spec, so the decisions (which
+/// flow, how many packets, when to churn) never depend on core count.
 struct ScheduledBurst {
   std::size_t flow = 0;      ///< global flow index (Zipf draw)
   std::uint64_t len = 0;     ///< packets in this burst (last one truncated)
   bool churn_after = false;  ///< the flat engine churns flow 0 after this
 };
 
-/// The deterministic global schedule — byte-identical to the decision
-/// sequence the pre-shard run_fleet made inline.
+/// The deterministic global schedule: one Zipf draw per burst, the last
+/// burst truncated, churn marks against the global sent count.
 std::vector<ScheduledBurst> build_schedule(const FleetSpec& spec);
-
-/// A priced sample tagged with its global merge key.  phase 0 = scheduled
-/// data packet of burst `burst`; phase 1 = churn handshake frame drained
-/// after burst `burst`.  Within one (burst, phase) all samples come from
-/// one core, in that core's append order, so a stable merge on the key
-/// reproduces the flat stream.
-struct TaggedSample {
-  std::uint64_t burst = 0;
-  std::uint32_t phase = 0;
-  double us = 0;
-};
-
-/// What one core measured: the per-core FleetResult view (latency/digest
-/// over the core's own stream) plus the tagged samples for merging.
-struct CoreRunResult {
-  FleetResult result;
-  std::vector<TaggedSample> samples;
-};
 
 /// Demux-map sizing for a core holding `flows` connections: the historical
 /// 64-bucket table up to 64 flows (pre-shard behaviour unchanged), then
@@ -76,36 +47,16 @@ struct CoreRunResult {
 /// space bounds flows per world anyway).
 std::size_t conn_bucket_count(std::size_t flows);
 
-/// Execute the sub-schedule owned by `core_id` on a private World.
-///
-/// `flow_core[i]` maps global flow i to its owning core; this core opens
-/// only its own flows (in ascending global order) and walks the global
-/// schedule, executing the bursts it owns.  Churn marks execute on the
-/// core that owns flow 0.  With `local_ports` false, flow i keeps its
-/// global wire identity (client port base + i) — required for the 1-core
-/// flat-equality pin, valid while the GLOBAL population fits one port
-/// space.  With `local_ports` true, each core assigns its flows local
-/// ports (base + local index), lifting the global population cap to
-/// cores * kMaxFlowsPerWorld (the steering key stays the canonical global
-/// identity; see harness/shard.h).
-CoreRunResult run_fleet_core(const FleetSpec& spec,
-                             const BurstCostTable& costs,
-                             const std::vector<ScheduledBurst>& schedule,
-                             const std::vector<std::uint32_t>& flow_core,
-                             std::uint32_t core_id, bool local_ports);
-
-/// Shared row validation (path-inlining on, non-empty schedule, cost table
-/// matched to the row's kind/config/params).  The flat entry point adds
-/// the single-world population cap on top; the sharded runner calls this
-/// directly since its population cap is per core.
-void validate_fleet_spec(const FleetSpec& spec, const BurstCostTable& costs);
-
-// FNV-1a helpers shared by the flat digest, the merged shard digest, and
-// machine_params_key.
-std::uint64_t fnv1a_init();
-void fnv1a_value_d(std::uint64_t& h, double v);
-
-/// Percentiles over a sample vector (sorts a copy).
-LatencyPercentiles percentiles(std::vector<double> s);
+/// Execute the bursts `core_id` owns (`flow_core[i]` maps global flow i to
+/// its core) on a private World, tagging every sample with its global
+/// (burst, phase) merge key.  Churn marks execute on flow 0's core.  With
+/// `local_ports` false flow i keeps its global wire identity (client port
+/// base + i) — the 1-core flat-equality pin; with it true each core numbers
+/// its flows locally, lifting the population cap to cores *
+/// kMaxFlowsPerWorld (steering keeps the canonical global identity).
+driver::Run run_fleet_core(const FleetSpec& spec, const BurstCostTable& costs,
+                           const std::vector<ScheduledBurst>& schedule,
+                           const std::vector<std::uint32_t>& flow_core,
+                           std::uint32_t core_id, bool local_ports);
 
 }  // namespace l96::harness::fleet_detail

@@ -1,32 +1,19 @@
 // The load-balancer failover harness: price the LB tier's forwarding path
 // under live traffic and failure scripts.
 //
-// The fleet/recovery engines price an *endpoint's* receive activation;
-// this engine prices the *forwarding tier* between the client and the
-// backend pool (net/lb.h).  A cost table is measured once per (config,
-// params) from real captured LbHost activations:
-//
-//  * fast_us — the pinned fast path: conn-track hit, MAC rewrite, forward
-//    (lance_intr -> lb_classify -> lb_track -> lb_rewrite -> lb_forward
-//    -> lance_send), lowered and replayed under the config's layout
-//    exactly like an endpoint path (measure_side, kind = kLb).
-//  * slow_us — the same frame arriving on a *stale* conn-track entry
-//    (its backend was evicted): the composite's guard fails and the
-//    standalone rebind path runs, Maglev hash + table probe included,
-//    priced under the fast capture's layout profile.
-//
-// run_lb() then replays a deterministic Zipf burst schedule over an
-// LbWorld (client fleet -> LB -> N backends) while a ChaosTimeline
-// drains, crashes, and partitions backends; every client->LB frame is
-// priced as
+// The fleet/recovery rows price an *endpoint's* receive activation; these
+// rows price the *forwarding tier* between the client and the backend
+// pool (net/lb.h), from two captured LbHost activations (measure_lb_costs).
+// run_lb() drives the fleet schedule (harness/driver.h, LB-tier topology)
+// over an LbWorld while a ChaosTimeline drains, crashes and partitions
+// backends, pricing every client->LB frame as
 //
 //     wire leg in + conn-track lookup + (fast | slow) + wire leg out
 //
-// and the result reports per-phase percentiles (steady vs disrupted),
-// packet conservation under loss, per-rebuild remap counts (the Maglev
-// disruption bound bench_lb_failover enforces), and per-window
-// time-to-steer-away / time-to-restore — byte-identical for any worker
-// count (enforced by the bench).
+// and reports steady vs disrupted percentiles, packet conservation under
+// loss, per-rebuild remap counts (the Maglev disruption bound
+// bench_lb_failover enforces), and per-window time-to-steer-away /
+// time-to-restore — byte-identical for any worker count.
 #pragma once
 
 #include <cstdint>

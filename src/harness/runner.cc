@@ -68,97 +68,74 @@ std::string write_out(const RunnerSpec& common, const Json& section) {
 }
 
 std::string schema_of(const Json& section) {
-  // Every emitted section starts {"schema":"l96.<name>.vN",...}; pulling
-  // it back out of the ordered object keeps Outcome.schema authoritative
-  // without a parallel bookkeeping path.
-  const std::string d = section.dump();
-  const std::string key = "{\"schema\":\"";
-  if (d.rfind(key, 0) != 0) return {};
-  const std::size_t end = d.find('"', key.size());
-  return end == std::string::npos ? std::string{}
-                                  : d.substr(key.size(), end - key.size());
+  const Json* schema = section.find("schema");
+  return schema != nullptr && schema->as_string() != nullptr
+             ? *schema->as_string()
+             : std::string{};
+}
+
+/// One independent pool job per row, results stored by row index into
+/// `o.*results`, then the family's section.
+template <typename Spec, typename Result, typename RunRow, typename Section>
+Outcome run_rows(const Spec& spec, std::vector<Result> Outcome::*results,
+                 RunRow run_row, Section section) {
+  Outcome o;
+  std::vector<Result>& out = o.*results;
+  out.resize(spec.rows.size());
+  o.workers_used =
+      run_indexed_jobs(spec.rows.size(), spec.common.workers,
+                       [&](std::size_t i) { out[i] = run_row(spec.rows[i]); });
+  emit(o, section(out), spec.common);
+  return o;
 }
 
 }  // namespace
 
-Outcome run(const FleetRunSpec& spec) {
-  Outcome o;
-  o.fleet.resize(spec.rows.size());
-  o.workers_used = run_indexed_jobs(
-      spec.rows.size(), spec.common.workers,
-      [&](std::size_t i) { o.fleet[i] = run_fleet(spec.rows[i], spec.costs); });
-  o.section = fleet_json(spec.costs, o.fleet);
+void emit(Outcome& o, Json section, const RunnerSpec& common) {
+  o.section = std::move(section);
   o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
-  return o;
+  o.out_path = write_out(common, o.section);
 }
 
-Outcome run(const ShardRunSpec& spec) {
-  Outcome o;
-  ShardedFleetRunner runner(spec.common.workers);
-  o.shard = runner.run(spec.rows, spec.costs);
-  o.workers_used = runner.workers_used();
-  o.section = shard_json(spec.costs, o.shard);
-  o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
-  return o;
+Outcome run(const FleetRunSpec& spec) {
+  return run_rows(
+      spec, &Outcome::fleet,
+      [&](const FleetSpec& row) { return run_fleet(row, spec.costs); },
+      [&](const auto& rows) { return fleet_json(spec.costs, rows); });
 }
 
 Outcome run(const RecoveryRunSpec& spec) {
-  Outcome o;
-  o.recovery.resize(spec.rows.size());
-  o.workers_used =
-      run_indexed_jobs(spec.rows.size(), spec.common.workers,
-                       [&](std::size_t i) {
-                         o.recovery[i] = run_recovery(spec.rows[i], spec.costs);
-                       });
-  o.section = recovery_json(spec.costs, o.recovery);
-  o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
-  return o;
+  return run_rows(
+      spec, &Outcome::recovery,
+      [&](const RecoverySpec& row) { return run_recovery(row, spec.costs); },
+      [&](const auto& rows) { return recovery_json(spec.costs, rows); });
 }
 
 Outcome run(const LbRunSpec& spec) {
-  Outcome o;
-  o.lb.resize(spec.rows.size());
-  o.workers_used = run_indexed_jobs(
-      spec.rows.size(), spec.common.workers,
-      [&](std::size_t i) { o.lb[i] = run_lb(spec.rows[i], spec.costs); });
-  o.section = lb_json(spec.costs, o.lb);
-  o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
-  return o;
+  return run_rows(
+      spec, &Outcome::lb,
+      [&](const LbSpec& row) { return run_lb(row, spec.costs); },
+      [&](const auto& rows) { return lb_json(spec.costs, rows); });
 }
 
 Outcome run(const SoakRunSpec& spec) {
-  Outcome o;
-  o.soak.resize(spec.rows.size());
-  o.workers_used = run_indexed_jobs(
-      spec.rows.size(), spec.common.workers,
-      [&](std::size_t i) { o.soak[i] = run_soak(spec.rows[i]); });
+  Outcome o = run_rows(
+      spec, &Outcome::soak, [](const SoakSpec& row) { return run_soak(row); },
+      [&](const auto& rows) { return soak_json(spec.rows, rows); });
   for (const SoakReport& r : o.soak) o.ok = o.ok && r.ok();
-  o.section = soak_json(spec.rows, o.soak);
-  o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
   return o;
 }
 
 Outcome run(const StreamRunSpec& spec) {
-  Outcome o;
-  o.stream.resize(spec.rows.size());
-  o.workers_used = run_indexed_jobs(
-      spec.rows.size(), spec.common.workers, [&](std::size_t i) {
-        const StreamRowSpec& row = spec.rows[i];
-        o.stream[i] =
-            row.kind == net::StackKind::kTcpIp
-                ? measure_tcp_throughput(row.config, row.bytes)
-                : measure_rpc_throughput(row.config, row.calls,
-                                         row.call_bytes);
-      });
-  o.section = stream_json(spec.rows, o.stream);
-  o.schema = schema_of(o.section);
-  o.out_path = write_out(spec.common, o.section);
-  return o;
+  return run_rows(
+      spec, &Outcome::stream,
+      [](const StreamRowSpec& row) {
+        return row.kind == net::StackKind::kTcpIp
+                   ? measure_tcp_throughput(row.config, row.bytes)
+                   : measure_rpc_throughput(row.config, row.calls,
+                                            row.call_bytes);
+      },
+      [&](const auto& rows) { return stream_json(spec.rows, rows); });
 }
 
 Json soak_json(const std::vector<SoakSpec>& specs,

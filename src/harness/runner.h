@@ -1,21 +1,17 @@
 // Unified harness runner API: one spec shape, one entry point, one worker
 // pool.
 //
-// Historically every experiment family grew its own runner class with its
-// own constructor signature, thread pool, and output plumbing
-// (FleetRunner, RecoveryRunner, SoakRunner, and the sharded fleet).  This
-// header consolidates them: every run is described by a *RunSpec struct —
-// a shared RunnerSpec (label, seed, workers, batch, machine params, output
-// path: defined once, here) plus the family's rows — and executed by an
-// overload of
+// Every run is described by a *RunSpec struct — a shared RunnerSpec
+// (label, seed, workers, batch, machine params, output path: defined
+// once, here) plus the family's rows — and executed by an overload of
 //
 //     Outcome run(const <Family>RunSpec& spec);
 //
 // which runs the rows on the shared deterministic worker pool
 // (run_indexed_jobs), assembles the family's schema-versioned JSON
 // section, optionally writes it to spec.common.out_path, and returns the
-// typed results.  The legacy runner classes survive as thin wrappers over
-// these overloads and stay byte-identical by test.
+// typed results.  Benches, tools and tests all run grids through these
+// overloads; there are no per-family runner classes.
 //
 // Determinism contract (all families): results are stored by row index and
 // are byte-identical for any worker count; worker threads only decide who
@@ -44,7 +40,7 @@ unsigned resolve_workers(unsigned requested);
 /// Run `fn(0..n)` on min(resolve_workers(threads), n) worker threads with
 /// a shared atomic job counter.  Returns the number of workers that
 /// executed at least one job; rethrows the first job exception after the
-/// pool joins.  The pool every legacy runner hand-rolled, defined once.
+/// pool joins.
 std::size_t run_indexed_jobs(std::size_t n, unsigned threads,
                              const std::function<void(std::size_t)>& fn);
 
@@ -158,14 +154,19 @@ struct Outcome {
 };
 
 Outcome run(const FleetRunSpec& spec);
+/// Flattens the grid to (row, core) jobs, so one wide row spreads over the
+/// whole pool (harness/shard.cc).
 Outcome run(const ShardRunSpec& spec);
 Outcome run(const RecoveryRunSpec& spec);
 Outcome run(const LbRunSpec& spec);
 Outcome run(const SoakRunSpec& spec);
 Outcome run(const StreamRunSpec& spec);
 
-/// The soak engine as a pure function of the spec (extracted from the
-/// legacy SoakRunner, which now wraps it).
+/// Store an emitted section (and its schema) in `o`, and write it to
+/// common.out_path when set: the tail every run() overload shares.
+void emit(Outcome& o, Json section, const RunnerSpec& common);
+
+/// The soak engine as a pure function of the spec.
 SoakReport run_soak(const SoakSpec& spec);
 
 /// Schema-versioned sections for the two families that predate them

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "harness/fleet_internal.h"
+#include "harness/driver.h"
 #include "harness/runner.h"
 #include "protocols/stack_code.h"
 
@@ -11,13 +11,11 @@ namespace l96::harness {
 
 namespace {
 
-using fleet_detail::CoreRunResult;
 using fleet_detail::kFleetClientPortBase;
 using fleet_detail::kFleetRpcProcBase;
 using fleet_detail::kFleetServerPort;
 using fleet_detail::kMaxFlowsPerWorld;
 using fleet_detail::ScheduledBurst;
-using fleet_detail::TaggedSample;
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -51,36 +49,14 @@ std::uint32_t hash_core(const FleetSpec& fleet, const code::FlowKeySpec& key,
       splitmix64(key.key_of_values({vals, n})) % cores);
 }
 
-void validate_shard(const ShardSpec& spec, const BurstCostTable& costs) {
-  fleet_detail::validate_fleet_spec(spec.fleet, costs);
-  if (spec.cores == 0) {
-    throw std::invalid_argument("run_sharded_fleet: cores must be >= 1");
-  }
-  if (spec.arrival_us < 0) {
-    throw std::invalid_argument(
-        "run_sharded_fleet: arrival_us must be >= 0");
-  }
-}
-
-void sum_cache(code::FlowCacheStats& into, const code::FlowCacheStats& c) {
-  into.lookups += c.lookups;
-  into.hits += c.hits;
-  into.misses += c.misses;
-  into.stale_hits += c.stale_hits;
-  into.unkeyed += c.unkeyed;
-  into.rules_examined += c.rules_examined;
-  into.cost_us += c.cost_us;
-}
-
 /// Walk the global schedule and splice the per-core tagged streams back
 /// into the fleet-wide sample order, running the open-loop queue model as
 /// samples are consumed.  With one core the merged order IS the flat
-/// engine's append order (every sample comes from core 0's cursor in
-/// sequence), which carries the digest pin.
+/// engine's append order, which carries the digest pin.
 ShardResult merge_cores(const ShardSpec& spec,
                         const std::vector<ScheduledBurst>& schedule,
                         const std::vector<std::uint32_t>& flow_core,
-                        std::vector<CoreRunResult> per_core) {
+                        std::vector<driver::Run> per_core) {
   const std::size_t ncores = spec.cores;
   ShardResult r;
   r.spec = spec;
@@ -94,19 +70,17 @@ ShardResult merge_cores(const ShardSpec& spec,
   std::vector<double> merged_sojourn;
   merged_service.reserve(spec.fleet.packets + spec.fleet.packets / 4);
   merged_sojourn.reserve(merged_service.capacity());
-  std::uint64_t digest = fleet_detail::fnv1a_init();
   std::uint64_t g = 0;  // global scheduled-arrival index
   const std::uint32_t churn_owner = flow_core.empty() ? 0 : flow_core[0];
   const bool queued = spec.arrival_us > 0;
 
   const auto consume = [&](std::uint32_t c, std::uint64_t burst,
                            std::uint32_t phase) {
-    const std::vector<TaggedSample>& s = per_core[c].samples;
+    const std::vector<driver::TaggedSample>& s = per_core[c].samples;
     while (cur[c] < s.size() && s[cur[c]].burst == burst &&
            s[cur[c]].phase == phase) {
       const double us = s[cur[c]].us;
       ++cur[c];
-      fleet_detail::fnv1a_value_d(digest, us);
       merged_service.push_back(us);
       service_sum[c] += us;
       double sojourn = us;
@@ -132,62 +106,52 @@ ShardResult merge_cores(const ShardSpec& spec,
     if (sb.churn_after) consume(churn_owner, b, /*phase=*/1);
   }
 
-  bool cursors_exhausted = true;
+  // Every core's cursor must be exhausted and its counters must match its
+  // own stream, or the row is not conserved.
+  bool cores_conserved = true;
   for (std::size_t c = 0; c < ncores; ++c) {
     const FleetResult& fr = per_core[c].result;
+    const auto add_counts = [&fr](auto& into) {
+      into.packets_sampled += fr.packets_sampled;
+      into.scheduled_sampled += fr.scheduled_sampled;
+      into.handshake_sampled += fr.handshake_sampled;
+      into.dropped_in_churn += fr.dropped_in_churn;
+      into.bursts += fr.bursts;
+      into.slow_packets += fr.slow_packets;
+      into.churns += fr.churns;
+      into.cache += fr.cache;
+    };
     ShardCoreStats& cs = r.cores[c];
     cs.core = static_cast<std::uint32_t>(c);
-    cs.packets_sampled = fr.packets_sampled;
-    cs.scheduled_sampled = fr.scheduled_sampled;
-    cs.handshake_sampled = fr.handshake_sampled;
-    cs.dropped_in_churn = fr.dropped_in_churn;
-    cs.bursts = fr.bursts;
-    cs.slow_packets = fr.slow_packets;
-    cs.churns = fr.churns;
-    cs.cache = fr.cache;
+    add_counts(cs);
+    add_counts(r);
     cs.service = fr.latency;
-    cs.sojourn = fleet_detail::percentiles(core_sojourn[c]);
+    cs.sojourn = percentiles(core_sojourn[c]);
     cs.busy_us = service_sum[c];
     cs.sample_digest = fr.sample_digest;
-    if (cur[c] != per_core[c].samples.size()) cursors_exhausted = false;
-
-    r.packets_sampled += fr.packets_sampled;
-    r.scheduled_sampled += fr.scheduled_sampled;
-    r.handshake_sampled += fr.handshake_sampled;
-    r.dropped_in_churn += fr.dropped_in_churn;
-    r.bursts += fr.bursts;
-    r.slow_packets += fr.slow_packets;
-    r.churns += fr.churns;
-    sum_cache(r.cache, fr.cache);
+    cores_conserved = cores_conserved &&
+                      cur[c] == per_core[c].samples.size() &&
+                      fr.scheduled_sampled + fr.handshake_sampled ==
+                          fr.packets_sampled;
     if (service_sum[c] > service_sum[r.hot_core]) {
       r.hot_core = static_cast<std::uint32_t>(c);
     }
-  }
-  for (std::uint32_t c : flow_core) ++r.cores[c].flows;
-
-  r.makespan_us = 0;
-  for (std::size_t c = 0; c < ncores; ++c) {
     r.makespan_us = std::max(r.makespan_us, busy[c]);
   }
+  for (std::uint32_t c : flow_core) ++r.cores[c].flows;
   for (std::size_t c = 0; c < ncores; ++c) {
     r.cores[c].utilization =
         r.makespan_us > 0 ? service_sum[c] / r.makespan_us : 0;
   }
-  r.latency = fleet_detail::percentiles(merged_service);
-  r.sojourn = fleet_detail::percentiles(merged_sojourn);
-  r.sample_digest = digest;
+  r.latency = percentiles(merged_service);
+  r.sojourn = percentiles(merged_sojourn);
+  r.sample_digest = sample_digest(merged_service);
   r.throughput_mpps =
       r.makespan_us > 0
           ? static_cast<double>(r.scheduled_sampled) / r.makespan_us
           : 0;
 
-  bool counters_match = true;
-  for (const ShardCoreStats& cs : r.cores) {
-    if (cs.scheduled_sampled + cs.handshake_sampled != cs.packets_sampled) {
-      counters_match = false;
-    }
-  }
-  r.conserved = cursors_exhausted && counters_match &&
+  r.conserved = cores_conserved &&
                 r.scheduled_sampled + r.dropped_in_churn ==
                     spec.fleet.packets &&
                 r.packets_sampled ==
@@ -249,32 +213,7 @@ std::vector<std::uint32_t> steer_flows(const FleetSpec& fleet,
   return map;
 }
 
-ShardResult run_sharded_fleet(const ShardSpec& spec,
-                              const BurstCostTable& costs) {
-  validate_shard(spec, costs);
-  const std::vector<ScheduledBurst> schedule =
-      fleet_detail::build_schedule(spec.fleet);
-  const std::vector<std::uint32_t> flow_core =
-      steer_flows(spec.fleet, spec.cores, spec.steering);
-  const bool local_ports = spec.fleet.connections > kMaxFlowsPerWorld;
-  std::vector<CoreRunResult> per_core(spec.cores);
-  for (std::size_t c = 0; c < spec.cores; ++c) {
-    per_core[c] = fleet_detail::run_fleet_core(
-        spec.fleet, costs, schedule, flow_core,
-        static_cast<std::uint32_t>(c), local_ports);
-  }
-  return merge_cores(spec, schedule, flow_core, std::move(per_core));
-}
-
-ShardedFleetRunner::ShardedFleetRunner(unsigned threads)
-    : threads_(resolve_workers(threads)) {}
-
-std::vector<ShardResult> ShardedFleetRunner::run(
-    const std::vector<ShardSpec>& specs, const BurstCostTable& costs) {
-  std::vector<ShardResult> out(specs.size());
-  workers_used_ = 0;
-  if (specs.empty()) return out;
-
+Outcome run(const ShardRunSpec& spec) {
   // Flatten to (row, core) jobs so one wide row parallelizes across the
   // pool; the schedule and steering are computed serially up front (pure
   // functions of the spec, cheap), the merges serially at the end.
@@ -282,81 +221,60 @@ std::vector<ShardResult> ShardedFleetRunner::run(
     std::vector<ScheduledBurst> schedule;
     std::vector<std::uint32_t> flow_core;
     bool local_ports = false;
-    std::vector<CoreRunResult> per_core;
+    std::vector<driver::Run> per_core;
   };
-  std::vector<RowPlan> plans(specs.size());
+  std::vector<RowPlan> plans(spec.rows.size());
   struct Job {
     std::size_t row;
     std::size_t core;
   };
   std::vector<Job> jobs;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    validate_shard(specs[i], costs);
+  for (std::size_t i = 0; i < spec.rows.size(); ++i) {
+    const ShardSpec& row = spec.rows[i];
+    driver::check_costs("run_sharded_fleet", row.fleet, spec.costs);
+    if (row.cores == 0 || row.arrival_us < 0) {
+      throw std::invalid_argument(
+          "run_sharded_fleet: cores must be >= 1 and arrival_us >= 0");
+    }
     RowPlan& p = plans[i];
-    p.schedule = fleet_detail::build_schedule(specs[i].fleet);
-    p.flow_core =
-        steer_flows(specs[i].fleet, specs[i].cores, specs[i].steering);
-    p.local_ports = specs[i].fleet.connections > kMaxFlowsPerWorld;
-    p.per_core.resize(specs[i].cores);
-    for (std::size_t c = 0; c < specs[i].cores; ++c) jobs.push_back({i, c});
+    p.schedule = fleet_detail::build_schedule(row.fleet);
+    p.flow_core = steer_flows(row.fleet, row.cores, row.steering);
+    p.local_ports = row.fleet.connections > kMaxFlowsPerWorld;
+    p.per_core.resize(row.cores);
+    for (std::size_t c = 0; c < row.cores; ++c) jobs.push_back({i, c});
   }
 
-  workers_used_ = run_indexed_jobs(jobs.size(), threads_, [&](std::size_t j) {
-    const Job job = jobs[j];
-    RowPlan& p = plans[job.row];
-    p.per_core[job.core] = fleet_detail::run_fleet_core(
-        specs[job.row].fleet, costs, p.schedule, p.flow_core,
-        static_cast<std::uint32_t>(job.core), p.local_ports);
-  });
-
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    out[i] = merge_cores(specs[i], plans[i].schedule, plans[i].flow_core,
-                         std::move(plans[i].per_core));
+  Outcome o;
+  o.workers_used =
+      run_indexed_jobs(jobs.size(), spec.common.workers, [&](std::size_t j) {
+        const Job job = jobs[j];
+        RowPlan& p = plans[job.row];
+        p.per_core[job.core] = fleet_detail::run_fleet_core(
+            spec.rows[job.row].fleet, spec.costs, p.schedule, p.flow_core,
+            static_cast<std::uint32_t>(job.core), p.local_ports);
+      });
+  for (std::size_t i = 0; i < spec.rows.size(); ++i) {
+    o.shard.push_back(merge_cores(spec.rows[i], plans[i].schedule,
+                                  plans[i].flow_core,
+                                  std::move(plans[i].per_core)));
   }
-  return out;
+  emit(o, shard_json(spec.costs, o.shard), spec.common);
+  return o;
 }
 
-namespace {
-
-Json percentiles_json(const LatencyPercentiles& p) {
-  return Json::object()
-      .set("p50", p.p50)
-      .set("p90", p.p90)
-      .set("p99", p.p99)
-      .set("p999", p.p999)
-      .set("mean", p.mean)
-      .set("max", p.max);
+ShardResult run_sharded_fleet(const ShardSpec& spec,
+                              const BurstCostTable& costs) {
+  ShardRunSpec rs;
+  rs.common.workers = 1;
+  rs.rows = {spec};
+  rs.costs = costs;
+  return run(rs).shard.front();
 }
-
-Json cache_json(const code::FlowCacheStats& c) {
-  return Json::object()
-      .set("lookups", c.lookups)
-      .set("hits", c.hits)
-      .set("misses", c.misses)
-      .set("stale_hits", c.stale_hits)
-      .set("unkeyed", c.unkeyed)
-      .set("rules_examined", c.rules_examined)
-      .set("hit_ratio", c.hit_ratio())
-      .set("stale_ratio", c.stale_ratio())
-      .set("cost_us", c.cost_us);
-}
-
-}  // namespace
 
 Json shard_json(const BurstCostTable& costs,
                 const std::vector<ShardResult>& rows) {
   Json section = emit_section("shard", 1);
-  Json fast = Json::array();
-  for (double v : costs.fast_us) fast.push_back(v);
-  Json slow = Json::array();
-  for (double v : costs.slow_us) slow.push_back(v);
-  section.set("costs",
-              Json::object()
-                  .set("controller_us", costs.controller_us)
-                  .set("fast_us", std::move(fast))
-                  .set("slow_us", std::move(slow))
-                  .set("config", costs.config_name)
-                  .set("params_key", costs.params_key));
+  section.set("costs", costs_json(costs));
   Json out_rows = Json::array();
   for (const ShardResult& r : rows) {
     const FleetSpec& s = r.spec.fleet;
@@ -373,7 +291,7 @@ Json shard_json(const BurstCostTable& costs,
               .set("bursts", c.bursts)
               .set("slow_packets", c.slow_packets)
               .set("churns", c.churns)
-              .set("cache", cache_json(c.cache))
+              .set("cache", cache_json(c.cache, CacheFields::kShard))
               .set("service_us", percentiles_json(c.service))
               .set("sojourn_us", percentiles_json(c.sojourn))
               .set("busy_us", c.busy_us)
@@ -381,18 +299,8 @@ Json shard_json(const BurstCostTable& costs,
               .set("max_wait_us", c.max_wait_us)
               .set("sample_digest", c.sample_digest));
     }
-    Json row = Json::object();
-    row.set("label", s.label)
-        .set("kind", s.kind == net::StackKind::kTcpIp ? "tcpip" : "rpc")
-        .set("config", s.config.name)
-        .set("scheme", code::to_string(s.scheme))
-        .set("connections", static_cast<std::uint64_t>(s.connections))
-        .set("packets", s.packets)
-        .set("batch", static_cast<std::uint64_t>(s.batch))
-        .set("zipf_s", s.zipf_s)
-        .set("seed", s.seed)
-        .set("cache_capacity", static_cast<std::uint64_t>(s.cache_capacity))
-        .set("churn_every", s.churn_every)
+    Json row = fleet_row_json(s, /*with_kind=*/true);
+    row.set("churn_every", s.churn_every)
         .set("cores", static_cast<std::uint64_t>(r.spec.cores))
         .set("steering", to_string(r.spec.steering))
         .set("arrival_us", r.spec.arrival_us)
@@ -403,7 +311,7 @@ Json shard_json(const BurstCostTable& costs,
         .set("bursts", r.bursts)
         .set("slow_packets", r.slow_packets)
         .set("churns", r.churns)
-        .set("cache", cache_json(r.cache))
+        .set("cache", cache_json(r.cache, CacheFields::kShard))
         .set("latency_us", percentiles_json(r.latency))
         .set("sojourn_us", percentiles_json(r.sojourn))
         .set("sample_digest", r.sample_digest)

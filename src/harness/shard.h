@@ -1,30 +1,19 @@
-// ShardedFleetRunner: RSS-style flow steering over per-core machine models.
+// Sharded fleet rows: RSS-style flow steering over per-core machine models.
 //
 // A shard row is a fleet row (harness/fleet.h) executed across N simulated
-// cores.  Each core is a complete, private machine: its own net::World
-// (and therefore its own sim::MemorySystem arena, primary caches, demux
-// map, and connection population), its own code::FlowCache, and the shared
-// position-indexed burst cost table.  Flows are steered to cores the way a
-// receive-side-scaling NIC steers them — a deterministic hash of the
-// flow's canonical wire identity (code::FlowKeySpec over the same fields
-// the classifier keys on) — or by a least-loaded assignment for
-// comparison.  A flow lives on exactly one core, so per-flow burst
-// coalescing never crosses a shard boundary and each core's cache state
-// evolves exactly as a private machine's would.
+// cores, each a private machine: its own net::World (memory arena, caches,
+// demux map, connections) and code::FlowCache, sharing the burst cost
+// table.  Flows are steered the way a receive-side-scaling NIC steers them
+// — a hash of the flow's canonical wire identity (code::FlowKeySpec over
+// the classifier's key fields) — or least-loaded for comparison.  A flow
+// lives on one core, so burst coalescing never crosses a shard boundary.
 //
-// Execution replays the ONE global burst schedule (fleet_detail::
-// build_schedule — Zipf draws, burst lengths, churn marks; a pure function
-// of the fleet spec): each core executes the bursts it owns against its
-// private world, tagging every priced sample with its global (burst,
-// phase) key, and a serial merge walks the schedule in global order to
-// rebuild the fleet-wide sample stream.  Determinism contract:
-//
-//  * fixed spec => byte-identical per-core streams, merged stream, and
-//    digests, for any ShardedFleetRunner worker count (cores are
-//    simulated; worker threads only decide who executes which core);
-//  * cores == 1 reproduces run_fleet byte-for-byte: same schedule, same
-//    world construction, same samples, same sample_digest (tests and
-//    bench_fleet_scaling exit-enforce the pin).
+// Every core walks the ONE global burst schedule, executing the bursts it
+// owns and tagging each sample with its global (burst, phase) key; a
+// serial merge rebuilds the fleet-wide stream in schedule order.  Fixed
+// spec => byte-identical per-core streams, merged stream and digests for
+// any harness::run worker count, and cores == 1 reproduces run_fleet
+// byte-for-byte (tests and bench_fleet_scaling exit-enforce the pin).
 //
 // On top of the merged stream sits an optional open-loop queueing view:
 // with arrival_us > 0, scheduled packet g arrives at g * arrival_us and
@@ -130,28 +119,12 @@ struct ShardResult {
 std::vector<std::uint32_t> steer_flows(const FleetSpec& fleet,
                                        std::size_t cores, SteeringPolicy p);
 
-/// Run one shard row serially (cores in id order).  Throws
+/// Run one shard row on one worker; harness::run (harness/runner.h)
+/// spreads a grid's (row, core) jobs over its pool.  Throws
 /// std::invalid_argument on a malformed spec (cores == 0, cost-table
 /// mismatch, a core's population overflowing its port space).
 ShardResult run_sharded_fleet(const ShardSpec& spec,
                               const BurstCostTable& costs);
-
-/// Worker pool over (row, core) jobs; per-row results merged serially and
-/// ordered by row index — byte-identical for any thread count.
-class ShardedFleetRunner {
- public:
-  explicit ShardedFleetRunner(unsigned threads = 0);
-
-  std::vector<ShardResult> run(const std::vector<ShardSpec>& specs,
-                               const BurstCostTable& costs);
-
-  unsigned thread_count() const noexcept { return threads_; }
-  std::size_t workers_used() const noexcept { return workers_used_; }
-
- private:
-  unsigned threads_;
-  std::size_t workers_used_ = 0;
-};
 
 /// Schema-versioned section (`l96.shard.v1`) with the shared costs, merged
 /// rows, and per-core breakdowns.

@@ -18,6 +18,8 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 }
 
 std::uint64_t hash_fault_log(const std::vector<net::FaultRecord>& log) {
+  // The true FNV-1a offset basis (the sample digests use a truncated one;
+  // see harness/stats.h).
   std::uint64_t h = 14695981039346656037ull;
   for (const net::FaultRecord& r : log) {
     fnv_mix(h, r.frame_ix);
@@ -169,7 +171,5 @@ SoakReport run_soak(const SoakSpec& spec) {
   }
   return rep;
 }
-
-SoakReport SoakRunner::run() { return run_soak(spec_); }
 
 }  // namespace l96::harness

@@ -1,4 +1,4 @@
-// SoakRunner: chaos soak for the full stacks.
+// Chaos soak for the full stacks (harness::run_soak, harness/runner.h).
 //
 // Drives the TCP/IP or RPC world for thousands of roundtrips under a
 // deterministic FaultPlan, with sequence-tagged payloads verified end to
@@ -72,18 +72,6 @@ struct SoakReport {
   /// Deterministic one-line digest; byte-identical across replays of the
   /// same spec.
   std::string summary() const;
-};
-
-class SoakRunner {
- public:
-  explicit SoakRunner(SoakSpec spec) : spec_(std::move(spec)) {}
-
-  SoakReport run();
-
-  const SoakSpec& spec() const noexcept { return spec_; }
-
- private:
-  SoakSpec spec_;
 };
 
 }  // namespace l96::harness

@@ -1,17 +1,14 @@
 #include "harness/sweep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <ostream>
-#include <set>
 #include <stdexcept>
-#include <thread>
 
 #include "harness/missmap.h"
+#include "harness/runner.h"
 #include "protocols/lance.h"
 
 namespace l96::harness {
@@ -90,11 +87,8 @@ const TraceCaptureCache::Entry& TraceCaptureCache::get(
   return entries_.emplace(key, std::move(e)).first->second;
 }
 
-SweepRunner::SweepRunner(unsigned threads) : threads_(threads) {
-  if (threads_ == 0) {
-    threads_ = std::max(2u, std::thread::hardware_concurrency());
-  }
-}
+SweepRunner::SweepRunner(unsigned threads)
+    : threads_(resolve_workers(threads)) {}
 
 std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs) {
   std::vector<SweepOutcome> out(jobs.size());
@@ -116,85 +110,63 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs) {
   // Phase 2 (parallel): lower + simulate each job.  measure_side() reads
   // only the shared registry/trace, so jobs share nothing writable; results
   // land at their job index, keeping output order deterministic.
-  std::atomic<std::size_t> next{0};
-  std::mutex workers_mu;
-  std::set<std::thread::id> worker_ids;
   std::vector<std::string> errors(jobs.size());
+  workers_used_ = run_indexed_jobs(jobs.size(), threads_, [&](std::size_t i) {
+    const SweepJob& job = jobs[i];
+    const TraceCaptureCache::Entry& e = *entries[i];
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      MeasureSpec cspec;
+      cspec.kind = job.kind;
+      cspec.cfg = job.client;
+      cspec.registry = &e.world->client().registry();
+      cspec.trace = &e.traces.client;
+      cspec.split = e.traces.client_split;
+      cspec.seed_offset = 0;
+      cspec.params = job.params;
+      cspec.profile_misses = job.profile_misses;
 
-  auto worker = [&]() {
-    bool measured = false;
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= jobs.size()) break;
-      measured = true;
-      const SweepJob& job = jobs[i];
-      const TraceCaptureCache::Entry& e = *entries[i];
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        MeasureSpec cspec;
-        cspec.kind = job.kind;
-        cspec.cfg = job.client;
-        cspec.registry = &e.world->client().registry();
-        cspec.trace = &e.traces.client;
-        cspec.split = e.traces.client_split;
-        cspec.seed_offset = 0;
-        cspec.params = job.params;
-        cspec.profile_misses = job.profile_misses;
+      MeasureSpec sspec;
+      sspec.kind = job.kind;
+      sspec.cfg = job.server;
+      sspec.registry = &e.world->server().registry();
+      sspec.trace = &e.traces.server;
+      sspec.split = e.traces.server_split;
+      sspec.seed_offset = 1;
+      sspec.params = job.params;
+      sspec.profile_misses = job.profile_misses;
 
-        MeasureSpec sspec;
-        sspec.kind = job.kind;
-        sspec.cfg = job.server;
-        sspec.registry = &e.world->server().registry();
-        sspec.trace = &e.traces.server;
-        sspec.split = e.traces.server_split;
-        sspec.seed_offset = 1;
-        sspec.params = job.params;
-        sspec.profile_misses = job.profile_misses;
-
-        auto c = measure_side(cspec);
-        auto s = measure_side(sspec);
-        out[i].result = combine_sides(std::move(c), std::move(s),
-                                      e.controller_us,
-                                      job.client.path_inlining,
-                                      job.server.path_inlining, job.params);
-        // te samples vary only the scrub seed; never profiled.  They carry
-        // the same per-inbound-packet classifier charge as combine_sides()
-        // (and Experiment::te_samples), so sampled means agree with te_us.
-        cspec.profile_misses = sspec.profile_misses = false;
-        const double classify =
-            (job.client.path_inlining ? job.params.classifier_overhead_us
-                                      : 0.0) +
-            (job.server.path_inlining ? job.params.classifier_overhead_us
-                                      : 0.0);
-        for (std::uint64_t k = 0; k < job.te_sample_count; ++k) {
-          cspec.seed_offset = 100 + k * 7;
-          sspec.seed_offset = 200 + k * 13;
-          auto sc = measure_side(cspec);
-          auto ss = measure_side(sspec);
-          out[i].te_samples.push_back(e.controller_us + classify +
-                                      sc.critical_us + ss.critical_us);
-        }
-        if (job.profile_misses) {
-          out[i].extra_json("missmap", missmap_json(out[i].result));
-        }
-      } catch (const std::exception& ex) {
-        errors[i] = ex.what();
+      auto c = measure_side(cspec);
+      auto s = measure_side(sspec);
+      out[i].result = combine_sides(std::move(c), std::move(s),
+                                    e.controller_us,
+                                    job.client.path_inlining,
+                                    job.server.path_inlining, job.params);
+      // te samples vary only the scrub seed; never profiled.  They carry
+      // the same per-inbound-packet classifier charge as combine_sides()
+      // (and Experiment::te_samples), so sampled means agree with te_us.
+      cspec.profile_misses = sspec.profile_misses = false;
+      const double classify =
+          (job.client.path_inlining ? job.params.classifier_overhead_us
+                                    : 0.0) +
+          (job.server.path_inlining ? job.params.classifier_overhead_us
+                                    : 0.0);
+      for (std::uint64_t k = 0; k < job.te_sample_count; ++k) {
+        cspec.seed_offset = 100 + k * 7;
+        sspec.seed_offset = 200 + k * 13;
+        auto sc = measure_side(cspec);
+        auto ss = measure_side(sspec);
+        out[i].te_samples.push_back(e.controller_us + classify +
+                                    sc.critical_us + ss.critical_us);
       }
-      out[i].measure_wall_ms = wall_ms_since(t0);
+      if (job.profile_misses) {
+        out[i].extra_json("missmap", missmap_json(out[i].result));
+      }
+    } catch (const std::exception& ex) {
+      errors[i] = ex.what();
     }
-    if (measured) {
-      std::lock_guard<std::mutex> lk(workers_mu);
-      worker_ids.insert(std::this_thread::get_id());
-    }
-  };
-
-  std::vector<std::thread> pool;
-  const unsigned n =
-      static_cast<unsigned>(std::min<std::size_t>(threads_, jobs.size()));
-  pool.reserve(n);
-  for (unsigned t = 0; t < n; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  workers_used_ = worker_ids.size();
+    out[i].measure_wall_ms = wall_ms_since(t0);
+  });
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (!errors[i].empty()) {

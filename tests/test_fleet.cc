@@ -10,14 +10,13 @@
 #include <vector>
 
 #include "harness/fleet.h"
+#include "harness/runner.h"
 #include "harness/sweep.h"
 
 namespace l96 {
 namespace {
 
 using harness::BurstCostTable;
-using harness::FleetCosts;
-using harness::FleetRunner;
 using harness::FleetSpec;
 using harness::ZipfSampler;
 
@@ -48,6 +47,16 @@ FleetSpec small_spec() {
   spec.cache_capacity = 8;
   spec.churn_every = 10;
   return spec;
+}
+
+// A grid of rows on `workers` pool threads (harness::run).
+std::vector<harness::FleetResult> run_grid(const std::vector<FleetSpec>& rows,
+                                           unsigned workers) {
+  harness::FleetRunSpec rs;
+  rs.common.workers = workers;
+  rs.rows = rows;
+  rs.costs = tcp_table();
+  return harness::run(rs).fleet;
 }
 
 TEST(ZipfSamplerTest, DeterministicAndSkewed) {
@@ -127,17 +136,14 @@ TEST(FleetCostsTest, SlowPathPricedAboveInlinedFastPath) {
   EXPECT_GT(t.controller_us, 0.0);
 }
 
-TEST(FleetCostsTest, DeprecatedFlatCostsMatchPositionZero) {
-  // The flat FleetCosts view is the 1-position table: both must price
-  // first-in-burst packets identically (the pre-burst engine's numbers).
-  const FleetCosts flat = harness::measure_fleet_costs(
-      net::StackKind::kTcpIp, code::StackConfig::All());
-  EXPECT_DOUBLE_EQ(flat.controller_us, tcp_table_one().controller_us);
-  EXPECT_DOUBLE_EQ(flat.fast_us, tcp_table_one().fast_us.front());
-  EXPECT_DOUBLE_EQ(flat.slow_us, tcp_table_one().slow_us.front());
-  // Position 0 does not depend on how many positions were measured.
-  EXPECT_DOUBLE_EQ(flat.fast_us, tcp_table().fast_us.front());
-  EXPECT_DOUBLE_EQ(flat.slow_us, tcp_table().slow_us.front());
+TEST(BurstCostTableTest, PositionZeroIndependentOfTableDepth) {
+  // First-in-burst pricing does not depend on how many positions were
+  // measured.
+  const BurstCostTable& one = tcp_table_one();
+  const BurstCostTable& deep = tcp_table();
+  EXPECT_DOUBLE_EQ(one.controller_us, deep.controller_us);
+  EXPECT_DOUBLE_EQ(one.fast_us.front(), deep.fast_us.front());
+  EXPECT_DOUBLE_EQ(one.slow_us.front(), deep.slow_us.front());
 }
 
 TEST(FleetCostsTest, TableClampsPastMeasuredPositions) {
@@ -167,9 +173,8 @@ TEST(FleetTest, DeterministicAcrossRunsAndWorkerCounts) {
       specs.push_back(spec);
     }
   }
-  FleetRunner serial(1), parallel(3);
-  const auto r1 = serial.run(specs, tcp_table());
-  const auto r3 = parallel.run(specs, tcp_table());
+  const auto r1 = run_grid(specs, 1);
+  const auto r3 = run_grid(specs, 3);
   ASSERT_EQ(r1.size(), specs.size());
   ASSERT_EQ(r3.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -260,9 +265,7 @@ TEST(FleetTest, RejectsMismatchedMachineParams) {
   }
 
   // The runner rejects the bad row too (first error wins).
-  FleetRunner runner(2);
-  EXPECT_THROW(runner.run({small_spec(), spec}, tcp_table()),
-               std::invalid_argument);
+  EXPECT_THROW(run_grid({small_spec(), spec}, 2), std::invalid_argument);
 
   // A mismatched stack config is equally rejected.
   FleetSpec other_cfg = small_spec();
@@ -365,9 +368,8 @@ TEST(FleetTest, ScaledRuleSetRowRunsAndStaysDeterministic) {
                                           .probe_us = 0.4,
                                           .per_rule_us = 0.02,
                                           .measured = true};
-  FleetRunner serial(1), parallel(2);
-  const auto r1 = serial.run({spec}, tcp_table());
-  const auto r2 = parallel.run({spec}, tcp_table());
+  const auto r1 = run_grid({spec}, 1);
+  const auto r2 = run_grid({spec}, 2);
   ASSERT_EQ(r1.size(), 1u);
   EXPECT_EQ(r1[0].sample_digest, r2[0].sample_digest);
   EXPECT_GT(r1[0].cache.hits, 0u);
@@ -383,7 +385,7 @@ TEST(FleetTest, ScaledRuleSetRowRunsAndStaysDeterministic) {
   // scan would have waded through all 128 decoys per miss.
   FleetSpec plain = spec;
   plain.rules = 0;
-  const auto p = serial.run({plain}, tcp_table());
+  const auto p = run_grid({plain}, 1);
   EXPECT_EQ(r1[0].cache.rules_examined, p[0].cache.rules_examined);
   EXPECT_EQ(r1[0].cache.misses, p[0].cache.misses);
   EXPECT_EQ(r1[0].cache.hits, p[0].cache.hits)

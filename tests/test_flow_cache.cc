@@ -404,5 +404,29 @@ TEST(FlowCache, RejectsZeroCapacityAndParsesSchemeNames) {
   EXPECT_STREQ(code::to_string(FlowCacheScheme::kDirectMapped), "direct");
 }
 
+TEST(FlowCacheStats, PlusEqualsCoversEveryField) {
+  // Every counter is 8 bytes: a field added to FlowCacheStats changes the
+  // size, failing here until operator+= (and this test) sum it too.
+  static_assert(sizeof(code::FlowCacheStats) == 8 * sizeof(std::uint64_t));
+  const code::FlowCacheStats a{.lookups = 1,
+                               .hits = 2,
+                               .misses = 3,
+                               .stale_hits = 4,
+                               .unkeyed = 5,
+                               .rules_examined = 6,
+                               .unmatched_scans = 7,
+                               .cost_us = 8.5};
+  code::FlowCacheStats sum = a;
+  sum += a;
+  EXPECT_EQ(sum.lookups, 2u);
+  EXPECT_EQ(sum.hits, 4u);
+  EXPECT_EQ(sum.misses, 6u);
+  EXPECT_EQ(sum.stale_hits, 8u);
+  EXPECT_EQ(sum.unkeyed, 10u);
+  EXPECT_EQ(sum.rules_examined, 12u);
+  EXPECT_EQ(sum.unmatched_scans, 14u);
+  EXPECT_DOUBLE_EQ(sum.cost_us, 17.0);
+}
+
 }  // namespace
 }  // namespace l96

@@ -9,13 +9,13 @@
 
 #include "harness/fleet.h"
 #include "harness/recovery.h"
+#include "harness/runner.h"
 
 namespace l96 {
 namespace {
 
 using harness::BurstCostTable;
 using harness::RecoveryResult;
-using harness::RecoveryRunner;
 using harness::RecoverySpec;
 
 const BurstCostTable& tcp_table() {
@@ -49,19 +49,29 @@ RecoverySpec crash_spec() {
 }
 
 TEST(RecoveryTest, ChaosFreeRunIsByteIdenticalToFleetEngine) {
-  const RecoverySpec spec = small_spec();  // empty timeline, knobs off
-  const harness::FleetResult fleet = harness::run_fleet(spec.fleet,
-                                                        tcp_table());
-  const RecoveryResult rec = harness::run_recovery(spec, tcp_table());
-  EXPECT_EQ(rec.fleet.sample_digest, fleet.sample_digest);
-  EXPECT_EQ(rec.fleet.packets_sampled, fleet.packets_sampled);
-  EXPECT_EQ(rec.fleet.scheduled_sampled, fleet.scheduled_sampled);
-  EXPECT_DOUBLE_EQ(rec.fleet.latency.p99, fleet.latency.p99);
-  EXPECT_EQ(rec.lost_packets, 0u);
-  EXPECT_EQ(rec.reconnects, 0u);
-  EXPECT_TRUE(rec.windows.empty());
-  EXPECT_EQ(rec.recovery_samples, 0u);
-  EXPECT_EQ(rec.steady_samples, rec.fleet.packets_sampled);
+  const RecoverySpec small = small_spec();  // empty timeline, knobs off
+  // 300 connections: more than one 256-connection establishment wave.
+  RecoverySpec wide = small_spec();
+  wide.fleet.connections = 300;
+  wide.fleet.packets = 200;
+  wide.fleet.churn_every = 50;
+  for (const RecoverySpec& spec : {small, wide}) {
+    const harness::FleetResult fleet =
+        harness::run_fleet(spec.fleet, tcp_table());
+    const RecoveryResult rec = harness::run_recovery(spec, tcp_table());
+    EXPECT_EQ(rec.fleet.sample_digest, fleet.sample_digest);
+    EXPECT_EQ(rec.fleet.packets_sampled, fleet.packets_sampled);
+    EXPECT_EQ(rec.fleet.scheduled_sampled, fleet.scheduled_sampled);
+    EXPECT_EQ(rec.fleet.handshake_sampled, fleet.handshake_sampled);
+    EXPECT_EQ(rec.fleet.churns, fleet.churns);
+    EXPECT_DOUBLE_EQ(rec.fleet.latency.p99, fleet.latency.p99);
+    EXPECT_DOUBLE_EQ(rec.fleet.sim_us, fleet.sim_us);
+    EXPECT_EQ(rec.lost_packets, 0u);
+    EXPECT_EQ(rec.reconnects, 0u);
+    EXPECT_TRUE(rec.windows.empty());
+    EXPECT_EQ(rec.recovery_samples, 0u);
+    EXPECT_EQ(rec.steady_samples, rec.fleet.packets_sampled);
+  }
 }
 
 TEST(RecoveryTest, BlackoutWindowIsDarkAndRecovers) {
@@ -113,11 +123,14 @@ TEST(RecoveryTest, DeterministicAcrossRunsAndWorkerCounts) {
       }(),
       crash_spec(),
   };
-  RecoveryRunner serial(1);
-  RecoveryRunner pooled(4);
-  const auto a = serial.run(specs, tcp_table());
-  const auto b = pooled.run(specs, tcp_table());
-  const auto c = pooled.run(specs, tcp_table());
+  harness::RecoveryRunSpec rs;
+  rs.rows = specs;
+  rs.costs = tcp_table();
+  rs.common.workers = 1;
+  const auto a = harness::run(rs).recovery;
+  rs.common.workers = 4;
+  const auto b = harness::run(rs).recovery;
+  const auto c = harness::run(rs).recovery;
   ASSERT_EQ(a.size(), specs.size());
   ASSERT_EQ(b.size(), specs.size());
   const std::string dump_a = harness::recovery_json(tcp_table(), a).dump();

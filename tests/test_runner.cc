@@ -1,6 +1,6 @@
 // Tests for the unified runner API (harness/runner.h): the run() overloads
-// against the legacy runner classes (byte-identical wrapper equivalence),
-// the shared worker pool, and the out_path plumbing.
+// and their emitted sections, the shared worker pool, and the out_path
+// plumbing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +19,6 @@ using harness::FleetRunSpec;
 using harness::FleetSpec;
 using harness::Outcome;
 using harness::RecoveryRunSpec;
-using harness::RecoverySpec;
 using harness::SoakRunSpec;
 using harness::SoakSpec;
 using harness::StreamRunSpec;
@@ -70,77 +69,43 @@ TEST(ResolveWorkersTest, ZeroPicksHardwareFlooredAtTwo) {
   EXPECT_EQ(harness::resolve_workers(7), 7u);
 }
 
-TEST(RunnerTest, FleetWrapperIsByteIdentical) {
-  const std::vector<FleetSpec> rows = {fleet_spec(3), fleet_spec(4)};
-
-  harness::FleetRunner legacy(2);
-  const auto via_legacy = legacy.run(rows, tcp_table());
-
-  FleetRunSpec rs;
-  rs.common.workers = 2;
-  rs.rows = rows;
-  rs.costs = tcp_table();
-  const Outcome o = harness::run(rs);
-
-  ASSERT_EQ(o.fleet.size(), via_legacy.size());
-  for (std::size_t i = 0; i < via_legacy.size(); ++i) {
-    EXPECT_EQ(o.fleet[i].sample_digest, via_legacy[i].sample_digest);
-    EXPECT_EQ(o.fleet[i].packets_sampled, via_legacy[i].packets_sampled);
-    EXPECT_DOUBLE_EQ(o.fleet[i].latency.mean, via_legacy[i].latency.mean);
-  }
-  EXPECT_EQ(o.schema, "l96.fleet.v2");
-  EXPECT_TRUE(o.ok);
-  // The emitted section is the same object fleet_json produces.
-  EXPECT_EQ(o.section.dump(),
-            harness::fleet_json(tcp_table(), via_legacy).dump());
-}
-
-TEST(RunnerTest, RecoveryWrapperIsByteIdentical) {
-  RecoverySpec spec;
-  spec.fleet = fleet_spec(5);
-  spec.fleet.churn_every = 0;
-  const std::vector<RecoverySpec> rows = {spec};
-
-  harness::RecoveryRunner legacy(2);
-  const auto via_legacy = legacy.run(rows, tcp_table());
+TEST(RunnerTest, OutcomeCarriesTheFamilySection) {
+  FleetRunSpec fs;
+  fs.common.workers = 2;
+  fs.rows = {fleet_spec(3), fleet_spec(4)};
+  fs.costs = tcp_table();
+  const Outcome fleet = harness::run(fs);
+  ASSERT_EQ(fleet.fleet.size(), 2u);
+  EXPECT_EQ(fleet.schema, "l96.fleet.v2");
+  EXPECT_TRUE(fleet.ok);
+  EXPECT_EQ(fleet.section.dump(),
+            harness::fleet_json(tcp_table(), fleet.fleet).dump());
 
   RecoveryRunSpec rs;
-  rs.common.workers = 2;
-  rs.rows = rows;
+  rs.rows = {rs.row_defaults()};
+  rs.rows[0].fleet = fleet_spec(5);
+  rs.rows[0].fleet.churn_every = 0;
   rs.costs = tcp_table();
-  const Outcome o = harness::run(rs);
-
-  ASSERT_EQ(o.recovery.size(), 1u);
-  EXPECT_EQ(o.recovery[0].fleet.sample_digest,
-            via_legacy[0].fleet.sample_digest);
+  const Outcome rec = harness::run(rs);
+  ASSERT_EQ(rec.recovery.size(), 1u);
+  EXPECT_EQ(rec.schema, "l96.recovery.v1");
   // Chaos-free recovery must still match the flat fleet engine.
-  EXPECT_EQ(o.recovery[0].fleet.sample_digest,
-            harness::run_fleet(spec.fleet, tcp_table()).sample_digest);
-  EXPECT_EQ(o.schema, "l96.recovery.v1");
-}
+  EXPECT_EQ(rec.recovery[0].fleet.sample_digest,
+            harness::run_fleet(rs.rows[0].fleet, tcp_table()).sample_digest);
 
-TEST(RunnerTest, SoakWrapperIsByteIdentical) {
-  SoakSpec spec;
-  spec.kind = net::StackKind::kTcpIp;
-  spec.roundtrips = 200;
-  spec.plan.seed = 7;
-  spec.plan.rates[0].drop = 0.005;
-  spec.plan.rates[1].drop = 0.005;
-  spec.plan.start_after_frames = 4;
-
-  harness::SoakRunner legacy(spec);
-  const harness::SoakReport via_legacy = legacy.run();
-
-  SoakRunSpec rs;
-  rs.rows = {spec};
-  const Outcome o = harness::run(rs);
-
+  SoakSpec soak;
+  soak.roundtrips = 200;
+  soak.plan.seed = 7;
+  soak.plan.rates[0].drop = 0.005;
+  soak.plan.rates[1].drop = 0.005;
+  soak.plan.start_after_frames = 4;
+  SoakRunSpec ss;
+  ss.rows = {soak};
+  const Outcome o = harness::run(ss);
   ASSERT_EQ(o.soak.size(), 1u);
-  EXPECT_EQ(o.soak[0].summary(), via_legacy.summary());
-  EXPECT_EQ(o.ok, via_legacy.ok());
+  EXPECT_EQ(o.soak[0].summary(), harness::run_soak(soak).summary());
+  EXPECT_EQ(o.ok, o.soak[0].ok());
   EXPECT_EQ(o.schema, "l96.soak.v1");
-  EXPECT_NE(o.section.dump().find("\"schema\":\"l96.soak.v1\""),
-            std::string::npos);
 }
 
 TEST(RunnerTest, StreamRunMeasuresThroughput) {

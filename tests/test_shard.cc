@@ -10,6 +10,7 @@
 
 #include "harness/fleet.h"
 #include "harness/fleet_internal.h"
+#include "harness/runner.h"
 #include "harness/shard.h"
 
 namespace l96 {
@@ -17,7 +18,6 @@ namespace {
 
 using harness::BurstCostTable;
 using harness::FleetSpec;
-using harness::ShardedFleetRunner;
 using harness::ShardResult;
 using harness::ShardSpec;
 using harness::SteeringPolicy;
@@ -134,10 +134,14 @@ TEST(ShardTest, DigestsIdenticalAcrossWorkerCountsAndRuns) {
   spec.arrival_us = 150.0;
   const std::vector<ShardSpec> rows = {spec};
 
-  ShardedFleetRunner one(1), four(4);
-  const auto a = one.run(rows, tcp_table());
-  const auto b = four.run(rows, tcp_table());
-  const auto c = four.run(rows, tcp_table());
+  harness::ShardRunSpec rs;
+  rs.rows = rows;
+  rs.costs = tcp_table();
+  rs.common.workers = 1;
+  const auto a = harness::run(rs).shard;
+  rs.common.workers = 4;
+  const auto b = harness::run(rs).shard;
+  const auto c = harness::run(rs).shard;
   ASSERT_EQ(a.size(), 1u);
   EXPECT_EQ(a[0].sample_digest, b[0].sample_digest);
   EXPECT_EQ(b[0].sample_digest, c[0].sample_digest);
@@ -148,6 +152,28 @@ TEST(ShardTest, DigestsIdenticalAcrossWorkerCountsAndRuns) {
     EXPECT_EQ(a[0].cores[core].packets_sampled,
               b[0].cores[core].packets_sampled);
   }
+}
+
+TEST(ShardTest, AggregateCacheIsThePerCoreSumOfEveryField) {
+  // A rules row on 4 cores: each core's flow cache counts its own scans,
+  // and the row's aggregate must carry every counter — unmatched_scans
+  // included — not a hand-picked subset.
+  ShardSpec spec;
+  spec.fleet = fleet_spec();
+  spec.fleet.rules = 64;
+  spec.cores = 4;
+  const ShardResult r = harness::run_sharded_fleet(spec, tcp_table());
+  code::FlowCacheStats sum;
+  for (const auto& core : r.cores) sum += core.cache;
+  EXPECT_GT(sum.lookups, 0u);
+  EXPECT_EQ(r.cache.lookups, sum.lookups);
+  EXPECT_EQ(r.cache.hits, sum.hits);
+  EXPECT_EQ(r.cache.misses, sum.misses);
+  EXPECT_EQ(r.cache.stale_hits, sum.stale_hits);
+  EXPECT_EQ(r.cache.unkeyed, sum.unkeyed);
+  EXPECT_EQ(r.cache.rules_examined, sum.rules_examined);
+  EXPECT_EQ(r.cache.unmatched_scans, sum.unmatched_scans);
+  EXPECT_DOUBLE_EQ(r.cache.cost_us, sum.cost_us);
 }
 
 TEST(ShardTest, SteeringConservationAcrossCores) {
