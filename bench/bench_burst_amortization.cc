@@ -59,10 +59,11 @@ struct LayoutCurve {
 };
 
 LayoutCurve measure_curve(const code::StackConfig& cfg) {
-  harness::Experiment e(net::StackKind::kTcpIp, cfg, cfg);
-  e.capture();
+  const auto params = harness::MachineParams::defaults();
+  const harness::Capture cap = harness::capture_world(
+      net::StackKind::kTcpIp, cfg, cfg, params.warmup_roundtrips);
   harness::StreamSpec spec;
-  spec.base = e.server_spec();
+  spec.base = harness::side_spec(cap, harness::Side::kServer, cfg, params);
   spec.base.profile_misses = true;
   spec.burst = kPositions;
   const harness::StreamMeasurement m = harness::measure_stream(spec);

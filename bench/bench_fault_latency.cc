@@ -41,7 +41,6 @@
 // each faulted row's flat "extra" map and, typed, in its "fault" section,
 // schema l96.fault.v2 with the burst-priced error costs under "burst").
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -50,7 +49,6 @@
 #include "harness/sweep.h"
 #include "harness/tables.h"
 #include "net/world.h"
-#include "protocols/lance.h"
 
 using namespace l96;
 
@@ -63,18 +61,11 @@ constexpr std::uint32_t kCorruptOffset = 40;
 // the te@5% rate model (matches Tcp's initial rexmt of 200 ms).
 constexpr double kRtoUs = 200'000.0;
 
-struct ErrorTraces {
-  code::PathTrace client;
-  code::PathTrace server;
-  std::size_t client_split = 0;
-  std::size_t server_split = 0;
-};
-
 /// Capture one bad-checksum receive activation per side of a warmed-up
 /// world.  capture_traces() must already have run: at entry the client has
 /// just processed an echo and its next request is in flight.
-ErrorTraces capture_error_traces(net::World& w) {
-  ErrorTraces et;
+harness::CaptureResult capture_error_traces(net::World& w) {
+  harness::CaptureResult et;
 
   // Client side: the next server->client transmit is the echo of the
   // in-flight request; corrupt it and record the client activation that
@@ -115,28 +106,6 @@ ErrorTraces capture_error_traces(net::World& w) {
   return et;
 }
 
-/// One world per *functional* configuration (STD/OUT/CLO share a trace;
-/// ALL records path-inlining markers), with clean and error captures.
-struct Bundle {
-  std::unique_ptr<net::World> world;
-  harness::CaptureResult clean;
-  ErrorTraces err;
-  double controller_us = 0;
-};
-
-Bundle make_bundle(const code::StackConfig& functional,
-                   const harness::MachineParams& params) {
-  Bundle b;
-  b.world = std::make_unique<net::World>(net::StackKind::kTcpIp, functional,
-                                         functional);
-  b.world->start(~std::uint64_t{0});
-  b.clean = harness::capture_traces(*b.world, params.warmup_roundtrips);
-  b.err = capture_error_traces(*b.world);
-  b.controller_us =
-      2.0 * b.world->wire().params().one_way_us(proto::Lance::kMinFrame);
-  return b;
-}
-
 double soak_mean_us(double rate_each, std::uint64_t seed) {
   harness::SoakSpec s;
   s.kind = net::StackKind::kTcpIp;
@@ -160,8 +129,18 @@ double soak_mean_us(double rate_each, std::uint64_t seed) {
 int main() {
   const auto params = harness::MachineParams::defaults();
 
-  Bundle std_b = make_bundle(code::StackConfig::Std(), params);
-  Bundle all_b = make_bundle(code::StackConfig::All(), params);
+  // One world per *functional* configuration (STD/OUT/CLO share a trace;
+  // ALL records path-inlining markers), with clean and error captures.
+  harness::Capture clean[2];
+  harness::CaptureResult err[2];
+  for (const bool inlined : {false, true}) {
+    const code::StackConfig functional =
+        inlined ? code::StackConfig::All() : code::StackConfig::Std();
+    clean[inlined] = harness::capture_world(net::StackKind::kTcpIp, functional,
+                                            functional,
+                                            params.warmup_roundtrips);
+    err[inlined] = capture_error_traces(*clean[inlined].world);
+  }
 
   const std::vector<code::StackConfig> cfgs = {
       code::StackConfig::Std(), code::StackConfig::Out(),
@@ -183,35 +162,24 @@ int main() {
 
   bool out_deltas_nonzero = false;
   for (const auto& cfg : cfgs) {
-    Bundle& b = cfg.path_inlining ? all_b : std_b;
-    const auto& creg = b.world->client().registry();
-    const auto& sreg = b.world->server().registry();
-
-    harness::MeasureSpec cspec;
-    cspec.kind = net::StackKind::kTcpIp;
-    cspec.cfg = cfg;
-    cspec.registry = &creg;
-    cspec.trace = &b.clean.client;
-    cspec.split = b.clean.client_split;
-    cspec.seed_offset = 0;
-    cspec.params = params;
-    harness::MeasureSpec sspec = cspec;
-    sspec.registry = &sreg;
-    sspec.trace = &b.clean.server;
-    sspec.split = b.clean.server_split;
-    sspec.seed_offset = 1;
+    const harness::Capture& cap = clean[cfg.path_inlining];
+    const harness::CaptureResult& et = err[cfg.path_inlining];
+    harness::MeasureSpec cspec =
+        harness::side_spec(cap, harness::Side::kClient, cfg, params);
+    harness::MeasureSpec sspec =
+        harness::side_spec(cap, harness::Side::kServer, cfg, params);
 
     const auto clean_c = harness::measure_side(cspec);
     const auto clean_s = harness::measure_side(sspec);
     const harness::MeasureSpec clean_sspec = sspec;
     // The error activation replayed under the image the *clean* profile
     // laid out: off-profile execution, the paper's outlining worst case.
-    cspec.profile = &b.clean.client;
-    cspec.trace = &b.err.client;
-    cspec.split = b.err.client_split;
-    sspec.profile = &b.clean.server;
-    sspec.trace = &b.err.server;
-    sspec.split = b.err.server_split;
+    cspec.profile = &cap.traces.client;
+    cspec.trace = &et.client;
+    cspec.split = et.client_split;
+    sspec.profile = &cap.traces.server;
+    sspec.trace = &et.server;
+    sspec.split = et.server_split;
     const auto err_c = harness::measure_side(cspec);
     const auto err_s = harness::measure_side(sspec);
 
@@ -221,26 +189,26 @@ int main() {
     // after four clean packets of the same burst warmed the caches.
     harness::StreamSpec err_first;
     err_first.base = clean_sspec;
-    err_first.base.profile = &b.clean.server;
-    err_first.activations = {&b.err.server};
+    err_first.base.profile = &cap.traces.server;
+    err_first.activations = {&et.server};
     const double err_s_first_us =
         harness::measure_stream(err_first).steady_us();
     harness::StreamSpec err_mid = err_first;
-    err_mid.activations.assign(4, &b.clean.server);
-    err_mid.activations.push_back(&b.err.server);
+    err_mid.activations.assign(4, &cap.traces.server);
+    err_mid.activations.push_back(&et.server);
     const double err_s_burst_us =
         harness::measure_stream(err_mid).steady_us();
 
     harness::SweepOutcome clean_o;
     clean_o.label = cfg.name;
     clean_o.result =
-        harness::combine_sides(clean_c, clean_s, b.controller_us,
+        harness::combine_sides(clean_c, clean_s, cap.controller_us,
                                cfg.path_inlining, cfg.path_inlining, params);
 
     harness::SweepOutcome fault_o;
     fault_o.label = std::string(cfg.name) + "+fault";
     fault_o.result =
-        harness::combine_sides(err_c, err_s, b.controller_us,
+        harness::combine_sides(err_c, err_s, cap.controller_us,
                                cfg.path_inlining, cfg.path_inlining, params);
 
     const double icpi_dc = err_c.steady.icpi() - clean_c.steady.icpi();

@@ -1,6 +1,9 @@
 // Table 4: End-to-end Roundtrip Latency — six configurations, both stacks,
 // mean +/- stddev and per-cent slowdown vs ALL.  Runs through SweepRunner:
-// BAD/STD/OUT/CLO share one captured trace per stack.
+// BAD/STD/OUT/CLO share one captured trace per stack.  Exits 1 unless the
+// sample-mean Te falls BAD > STD > OUT > CLO > PIN > ALL on both stacks.
+#include <cstdio>
+
 #include "harness/sweep.h"
 #include "harness/tables.h"
 
@@ -36,6 +39,7 @@ int main() {
   harness::SweepRunner runner;
   const auto outcomes = runner.run(jobs);
 
+  bool ordered = true;
   std::size_t at = 0;
   for (auto kind : {net::StackKind::kTcpIp, net::StackKind::kRpc}) {
     const bool rpc = kind == net::StackKind::kRpc;
@@ -47,6 +51,13 @@ int main() {
     double best = 0;
     for (const auto& cfg : configs) {
       const auto ms = harness::mean_sd(outcomes[at++].te_samples);
+      if (!rows.empty() && !(rows.back().second.mean > ms.mean)) {
+        std::fprintf(stderr,
+                     "FAIL: %s Te of %s (%.3f us) is not above %s (%.3f us)\n",
+                     rpc ? "RPC" : "TCP/IP", rows.back().first.c_str(),
+                     rows.back().second.mean, cfg.name.c_str(), ms.mean);
+        ordered = false;
+      }
       rows.emplace_back(cfg.name, ms);
       if (cfg.name == "ALL") best = ms.mean;
     }
@@ -63,5 +74,5 @@ int main() {
   }
 
   harness::write_sweep_metrics("table4_end_to_end", runner, jobs, outcomes);
-  return 0;
+  return ordered ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 #include "harness/experiment.h"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -49,24 +49,16 @@ CaptureResult capture_traces(net::World& world,
   return r;
 }
 
-Experiment::Experiment(net::StackKind kind, code::StackConfig client_cfg,
-                       code::StackConfig server_cfg, MachineParams params)
-    : kind_(kind),
-      client_cfg_(std::move(client_cfg)),
-      server_cfg_(std::move(server_cfg)),
-      params_(params) {
-  world_ = std::make_unique<net::World>(kind_, client_cfg_, server_cfg_);
-}
-
-void Experiment::capture() {
-  if (captured_) return;
-  world_->start(~std::uint64_t{0});
-  CaptureResult r = capture_traces(*world_, params_.warmup_roundtrips);
-  client_trace_ = std::move(r.client);
-  server_trace_ = std::move(r.server);
-  client_split_ = r.client_split;
-  server_split_ = r.server_split;
-  captured_ = true;
+Capture capture_world(net::StackKind kind, const code::StackConfig& ccfg,
+                      const code::StackConfig& scfg,
+                      std::uint64_t warmup_roundtrips) {
+  Capture c;
+  c.world = std::make_unique<net::World>(kind, ccfg, scfg);
+  c.world->start(~std::uint64_t{0});
+  c.traces = capture_traces(*c.world, warmup_roundtrips);
+  c.controller_us =
+      2.0 * c.world->wire().params().one_way_us(proto::Lance::kMinFrame);
+  return c;
 }
 
 code::CodeImage build_image(net::StackKind kind, const code::StackConfig& cfg,
@@ -92,47 +84,104 @@ code::CodeImage build_image(net::StackKind kind, const code::StackConfig& cfg,
   return b.build();
 }
 
+MeasureSpec side_spec(const Capture& cap, Side side,
+                      const code::StackConfig& cfg,
+                      const MachineParams& params) {
+  const bool server = side == Side::kServer;
+  MeasureSpec spec;
+  spec.kind = cap.world->kind();
+  spec.cfg = cfg;
+  spec.registry = server ? &cap.world->server().registry()
+                         : &cap.world->client().registry();
+  spec.trace = server ? &cap.traces.server : &cap.traces.client;
+  spec.split = server ? cap.traces.server_split : cap.traces.client_split;
+  spec.seed_offset = server ? 1 : 0;
+  spec.params = params;
+  return spec;
+}
+
+namespace {
+
+/// The first `count` events of `trace` (all of them when it is shorter):
+/// the critical path when `count` is the transmit split.
+code::PathTrace prefix_of(const code::PathTrace& trace, std::size_t count) {
+  code::PathTrace prefix;
+  prefix.events.assign(
+      trace.events.begin(),
+      trace.events.begin() +
+          static_cast<std::ptrdiff_t>(std::min(count, trace.events.size())));
+  return prefix;
+}
+
+/// Steady-state replay options (Table 7): warm-up passes with untraced-code
+/// scrubbing at the given seed offset, no profiler attached.
+sim::Machine::Options steady_options(const MachineParams& params,
+                                     std::uint64_t seed_offset) {
+  sim::Machine::Options opts;
+  opts.cold_start = true;
+  opts.warmup_passes = params.warmup_passes;
+  opts.scrub_fraction = params.scrub_fraction;
+  opts.scrub_fraction_d = params.scrub_fraction_d;
+  opts.scrub_seed = params.scrub_seed + seed_offset;
+  return opts;
+}
+
+/// What every replay of one spec shares: the image laid out from the
+/// spec's profile, its lowering, the miss profiler (when asked for; one
+/// owner map serves every replay, and Machine::run resets it at measurement
+/// start, so each snapshot conserves to one replay's CacheStats) and the
+/// steady options.  Callers validate the spec first.
+struct Prelude {
+  explicit Prelude(const MeasureSpec& spec)
+      : image(build_image(spec.kind, spec.cfg, *spec.registry,
+                          spec.profile != nullptr ? *spec.profile
+                                                  : *spec.trace,
+                          spec.params)),
+        lower(*spec.registry, image, spec.cfg),
+        steady(steady_options(spec.params, spec.seed_offset)) {
+    if (spec.profile_misses) {
+      prof = std::make_unique<sim::MissProfiler>(code::build_owner_map(
+          *spec.registry, image, code::LowerParams{},
+          {{"data:arena", xk::SimAlloc::kArenaBase,
+            xk::SimAlloc::kArenaBase + 0x100'0000}}));
+    }
+  }
+  Prelude(const Prelude&) = delete;  // `lower` must keep borrowing `image`
+
+  const code::CodeImage image;
+  const code::Lowering lower;  ///< borrows `image`
+  const sim::Machine::Options steady;
+  std::unique_ptr<sim::MissProfiler> prof;
+};
+
+/// One inbound classification per path-inlined side: charged to te_us by
+/// combine_sides() and to every te sample.
+double classifier_charge_us(bool client_inlined, bool server_inlined,
+                            const MachineParams& params) {
+  return (client_inlined ? params.classifier_overhead_us : 0.0) +
+         (server_inlined ? params.classifier_overhead_us : 0.0);
+}
+
+}  // namespace
+
 SideMeasurement measure_side(const MeasureSpec& spec) {
   if (spec.registry == nullptr || spec.trace == nullptr) {
     throw std::invalid_argument(
         "MeasureSpec requires a registry and a trace");
   }
-  const code::CodeRegistry& reg = *spec.registry;
-  const code::PathTrace& trace = *spec.trace;
-  const code::PathTrace& profile =
-      spec.profile != nullptr ? *spec.profile : trace;
   const MachineParams& params = spec.params;
+  const Prelude pre(spec);
 
   SideMeasurement m;
   m.config_name = spec.cfg.name;
+  m.static_hot_words = pre.image.hot_words();
+  m.static_total_words = pre.image.total_words();
 
-  const code::CodeImage image =
-      build_image(spec.kind, spec.cfg, reg, profile, params);
-  m.static_hot_words = image.hot_words();
-  m.static_total_words = image.total_words();
-
-  code::Lowering lower(reg, image, spec.cfg);
-  const sim::MachineTrace full = lower.lower(trace);
+  const sim::MachineTrace full = pre.lower.lower(*spec.trace);
   m.instructions = full.size();
-
-  code::PathTrace critical_trace;
-  critical_trace.events.assign(
-      trace.events.begin(),
-      trace.events.begin() + static_cast<std::ptrdiff_t>(
-                                 std::min(spec.split, trace.events.size())));
-  const sim::MachineTrace critical = lower.lower(critical_trace);
+  const sim::MachineTrace critical =
+      pre.lower.lower(prefix_of(*spec.trace, spec.split));
   m.critical_instructions = critical.size();
-
-  // Miss attribution: one profiler (owner map shared) drives both full
-  // replays; Machine::run resets it at measurement start, so each snapshot
-  // covers exactly one replay and conserves to that replay's CacheStats.
-  std::unique_ptr<sim::MissProfiler> prof;
-  if (spec.profile_misses) {
-    prof = std::make_unique<sim::MissProfiler>(code::build_owner_map(
-        reg, image, code::LowerParams{},
-        {{"data:arena", xk::SimAlloc::kArenaBase,
-          xk::SimAlloc::kArenaBase + 0x100'0000}}));
-  }
 
   // Cold replay: the paper's trace-driven cache simulation (Table 6).
   {
@@ -140,38 +189,32 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
     sim::Machine::Options opts;
     opts.cold_start = true;
     opts.warmup_passes = 0;
-    opts.miss_profiler = prof.get();
+    opts.miss_profiler = pre.prof.get();
     m.cold = machine.run(full, opts);
-    if (prof) {
+    if (pre.prof) {
       m.miss_cold =
-          std::make_shared<const sim::MissProfile>(prof->snapshot());
+          std::make_shared<const sim::MissProfile>(pre.prof->snapshot());
     }
   }
   // Steady replay: processing time and CPI (Table 7).
-  sim::Machine::Options steady;
-  steady.cold_start = true;
-  steady.warmup_passes = params.warmup_passes;
-  steady.scrub_fraction = params.scrub_fraction;
-  steady.scrub_fraction_d = params.scrub_fraction_d;
-  steady.scrub_seed = params.scrub_seed + spec.seed_offset;
   {
     sim::Machine machine(params.mem, params.cpu);
-    sim::Machine::Options opts = steady;
-    opts.miss_profiler = prof.get();
+    sim::Machine::Options opts = pre.steady;
+    opts.miss_profiler = pre.prof.get();
     m.steady = machine.run(full, opts);
     m.tp_us = m.steady.processing_us(params.cpu.frequency_hz);
-    if (prof) {
+    if (pre.prof) {
       m.miss_steady =
-          std::make_shared<const sim::MissProfile>(prof->snapshot());
+          std::make_shared<const sim::MissProfile>(pre.prof->snapshot());
     }
   }
   {
     sim::Machine machine(params.mem, params.cpu);
-    m.critical = machine.run(critical, steady);
+    m.critical = machine.run(critical, pre.steady);
     m.critical_us = m.critical.processing_us(params.cpu.frequency_hz);
   }
 
-  m.footprint = code::footprint_stats(full, image, params.mem.block_bytes);
+  m.footprint = code::footprint_stats(full, pre.image, params.mem.block_bytes);
   return m;
 }
 
@@ -189,23 +232,17 @@ StreamMeasurement measure_stream(const StreamSpec& spec) {
       throw std::invalid_argument("StreamSpec: null activation in sequence");
     }
   }
-  const code::CodeRegistry& reg = *base.registry;
-  const code::PathTrace& profile =
-      base.profile != nullptr ? *base.profile : *base.trace;
   const MachineParams& params = base.params;
+  // One image for the whole stream: every activation (clean or error path)
+  // executes under the same layout, exactly as a burst would on hardware.
+  const Prelude pre(base);
 
   StreamMeasurement m;
   m.config_name = base.cfg.name;
 
-  // One image for the whole stream: every activation (clean or error path)
-  // executes under the same layout, exactly as a burst would on hardware.
-  const code::CodeImage image =
-      build_image(base.kind, base.cfg, reg, profile, params);
-  code::Lowering lower(reg, image, base.cfg);
-
   // Lower the warm-up/default activation once; heterogeneous sequence
   // entries pointing at the same trace share the lowering.
-  const sim::MachineTrace warm = lower.lower(*base.trace);
+  const sim::MachineTrace warm = pre.lower.lower(*base.trace);
   std::vector<sim::MachineTrace> lowered;
   std::vector<const sim::MachineTrace*> seq;
   if (spec.activations.empty()) {
@@ -216,31 +253,18 @@ StreamMeasurement measure_stream(const StreamSpec& spec) {
       if (t == base.trace) {
         seq.push_back(&warm);
       } else {
-        lowered.push_back(lower.lower(*t));
+        lowered.push_back(pre.lower.lower(*t));
         seq.push_back(&lowered.back());
       }
     }
-  }
-
-  std::unique_ptr<sim::MissProfiler> prof;
-  if (base.profile_misses) {
-    prof = std::make_unique<sim::MissProfiler>(code::build_owner_map(
-        reg, image, code::LowerParams{},
-        {{"data:arena", xk::SimAlloc::kArenaBase,
-          xk::SimAlloc::kArenaBase + 0x100'0000}}));
   }
 
   // Same steady-state options as measure_side: position 0 starts from the
   // post-warm-up, post-scrub state and is byte-identical to the steady
   // replay; later positions run back to back with no scrub in between.
   sim::Machine machine(params.mem, params.cpu);
-  sim::Machine::Options opts;
-  opts.cold_start = true;
-  opts.warmup_passes = params.warmup_passes;
-  opts.scrub_fraction = params.scrub_fraction;
-  opts.scrub_fraction_d = params.scrub_fraction_d;
-  opts.scrub_seed = params.scrub_seed + base.seed_offset;
-  opts.miss_profiler = prof.get();
+  sim::Machine::Options opts = pre.steady;
+  opts.miss_profiler = pre.prof.get();
   const std::vector<sim::RunResult> runs =
       machine.run_stream(seq, opts, &warm);
 
@@ -251,8 +275,8 @@ StreamMeasurement measure_stream(const StreamSpec& spec) {
     p.tp_us = r.processing_us(params.cpu.frequency_hz);
     m.positions.push_back(p);
   }
-  if (prof) {
-    m.miss = std::make_shared<const sim::MissProfile>(prof->snapshot());
+  if (pre.prof) {
+    m.miss = std::make_shared<const sim::MissProfile>(pre.prof->snapshot());
   }
   return m;
 }
@@ -264,108 +288,93 @@ ConfigResult combine_sides(SideMeasurement client, SideMeasurement server,
   r.client = std::move(client);
   r.server = std::move(server);
   const double classify =
-      (client_inlined ? params.classifier_overhead_us : 0.0) +
-      (server_inlined ? params.classifier_overhead_us : 0.0);
+      classifier_charge_us(client_inlined, server_inlined, params);
   r.te_us = controller_us + classify + r.client.critical_us +
             r.server.critical_us;
   r.te_adjusted = classify + r.client.critical_us + r.server.critical_us;
   return r;
 }
 
-ConfigResult Experiment::run() {
-  capture();
-
-  MeasureSpec cspec = client_spec();
-  MeasureSpec sspec = server_spec();
-  auto c = measure_side(cspec);
-  auto s = measure_side(sspec);
-  const double controller =
-      2.0 * world_->wire().params().one_way_us(proto::Lance::kMinFrame);
-  return combine_sides(std::move(c), std::move(s), controller,
-                       client_cfg_.path_inlining, server_cfg_.path_inlining,
-                       params_);
-}
-
-std::vector<double> Experiment::te_samples(std::uint64_t n_samples) {
-  capture();
+std::vector<double> measure_te_samples(const Capture& cap,
+                                       const code::StackConfig& ccfg,
+                                       const code::StackConfig& scfg,
+                                       const MachineParams& params,
+                                       std::uint64_t n) {
+  if (n == 0) return {};
+  // Each side's critical prefix, imaged and lowered once: the trace
+  // measure_side() replays for SideMeasurement::critical.
+  const auto critical = [&](const MeasureSpec& spec) {
+    return Prelude(spec).lower.lower(prefix_of(*spec.trace, spec.split));
+  };
+  const sim::MachineTrace c =
+      critical(side_spec(cap, Side::kClient, ccfg, params));
+  const sim::MachineTrace s =
+      critical(side_spec(cap, Side::kServer, scfg, params));
+  const auto critical_us = [&](const sim::MachineTrace& t,
+                               std::uint64_t seed_offset) {
+    sim::Machine machine(params.mem, params.cpu);
+    return machine.run(t, steady_options(params, seed_offset))
+        .processing_us(params.cpu.frequency_hz);
+  };
+  const double fixed =
+      cap.controller_us +
+      classifier_charge_us(ccfg.path_inlining, scfg.path_inlining, params);
   std::vector<double> out;
-  const double controller =
-      2.0 * world_->wire().params().one_way_us(proto::Lance::kMinFrame);
-  // Same per-inbound-packet classifier charge as combine_sides(): every
-  // sampled roundtrip classifies one packet on each path-inlined side.
-  // (Samples used to omit this, so Table 4's mean disagreed with te_us as
-  // soon as classifier_overhead_us was nonzero.)
-  const double classify =
-      (client_cfg_.path_inlining ? params_.classifier_overhead_us : 0.0) +
-      (server_cfg_.path_inlining ? params_.classifier_overhead_us : 0.0);
-  MeasureSpec cspec = client_spec();
-  MeasureSpec sspec = server_spec();
-  for (std::uint64_t i = 0; i < n_samples; ++i) {
-    cspec.seed_offset = 100 + i * 7;
-    sspec.seed_offset = 200 + i * 13;
-    auto c = measure_side(cspec);
-    auto s = measure_side(sspec);
-    out.push_back(controller + classify + c.critical_us + s.critical_us);
+  out.reserve(n);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    out.push_back(fixed + critical_us(c, 100 + 7 * k) +
+                  critical_us(s, 200 + 13 * k));
   }
   return out;
 }
 
-MeasureSpec Experiment::client_spec() const {
-  MeasureSpec spec;
-  spec.kind = kind_;
-  spec.cfg = client_cfg_;
-  spec.registry = &world_->client().registry();
-  spec.trace = &client_trace_;
-  spec.split = client_split_;
-  spec.seed_offset = 0;
-  spec.params = params_;
-  return spec;
+Experiment::Experiment(net::StackKind kind, code::StackConfig client_cfg,
+                       code::StackConfig server_cfg, MachineParams params)
+    : kind_(kind),
+      client_cfg_(std::move(client_cfg)),
+      server_cfg_(std::move(server_cfg)),
+      params_(params) {}
+
+const Capture& Experiment::capture() {
+  if (!cap_.world) {
+    cap_ = capture_world(kind_, client_cfg_, server_cfg_,
+                         params_.warmup_roundtrips);
+  }
+  return cap_;
 }
 
-MeasureSpec Experiment::server_spec() const {
-  MeasureSpec spec;
-  spec.kind = kind_;
-  spec.cfg = server_cfg_;
-  spec.registry = &world_->server().registry();
-  spec.trace = &server_trace_;
-  spec.split = server_split_;
-  spec.seed_offset = 1;
-  spec.params = params_;
-  return spec;
+ConfigResult Experiment::run() {
+  const Capture& cap = capture();
+  return combine_sides(
+      measure_side(side_spec(cap, Side::kClient, client_cfg_, params_)),
+      measure_side(side_spec(cap, Side::kServer, server_cfg_, params_)),
+      cap.controller_us, client_cfg_.path_inlining,
+      server_cfg_.path_inlining, params_);
+}
+
+std::vector<double> Experiment::te_samples(std::uint64_t n_samples) {
+  return measure_te_samples(capture(), client_cfg_, server_cfg_, params_,
+                            n_samples);
 }
 
 sim::MachineTrace Experiment::lower_client(
-    const code::StackConfig& cfg_override) const {
-  auto& self = const_cast<Experiment&>(*this);
-  self.capture();
-  const auto& reg = self.world_->client().registry();
-  const code::CodeImage image =
-      build_image(kind_, cfg_override, reg, client_trace_, params_);
-  code::Lowering lower(reg, image, cfg_override);
-  return lower.lower(client_trace_);
+    const code::StackConfig& cfg_override) {
+  const MeasureSpec spec =
+      side_spec(capture(), Side::kClient, cfg_override, params_);
+  return Prelude(spec).lower.lower(*spec.trace);
 }
 
-sim::MachineTrace Experiment::lower_client_prefix(std::size_t count) const {
-  auto& self = const_cast<Experiment&>(*this);
-  self.capture();
-  const auto& reg = self.world_->client().registry();
-  const code::CodeImage image =
-      build_image(kind_, client_cfg_, reg, client_trace_, params_);
-  code::PathTrace prefix;
-  prefix.events.assign(
-      client_trace_.events.begin(),
-      client_trace_.events.begin() +
-          static_cast<std::ptrdiff_t>(
-              std::min(count, client_trace_.events.size())));
-  return code::Lowering(reg, image, client_cfg_).lower(prefix);
+sim::MachineTrace Experiment::lower_client_prefix(std::size_t count) {
+  const MeasureSpec spec =
+      side_spec(capture(), Side::kClient, client_cfg_, params_);
+  return Prelude(spec).lower.lower(prefix_of(*spec.trace, count));
 }
 
-std::size_t Experiment::find_client_call(std::string_view fn_name) const {
-  auto& self = const_cast<Experiment&>(*this);
-  self.capture();
-  const code::FnId id = self.world_->client().registry().require(fn_name);
-  for (std::size_t i = 0; i < client_trace_.events.size(); ++i) {
-    const auto& ev = client_trace_.events[i];
+std::size_t Experiment::find_client_call(std::string_view fn_name) {
+  const code::FnId id = world().client().registry().require(fn_name);
+  const code::PathTrace& trace = client_trace();
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const auto& ev = trace.events[i];
     if (ev.kind == code::EventKind::kCall && ev.fn == id) return i;
   }
   return static_cast<std::size_t>(-1);

@@ -101,6 +101,23 @@ struct CaptureResult {
 CaptureResult capture_traces(net::World& world,
                              std::uint64_t warmup_roundtrips);
 
+/// A running world with one steady-state roundtrip captured per side: what
+/// every measurement borrows its registries and traces from.  The traces
+/// reference function ids of the world's per-host registries, so the world
+/// lives exactly as long as the capture.
+struct Capture {
+  std::unique_ptr<net::World> world;
+  CaptureResult traces;
+  /// Two controller+wire traversals of a minimum frame: Te's fixed part
+  /// (the paper measures 105 us each).
+  double controller_us = 0;
+};
+
+/// Build and start a (kind, client, server) world, then capture_traces() it.
+Capture capture_world(net::StackKind kind, const code::StackConfig& ccfg,
+                      const code::StackConfig& scfg,
+                      std::uint64_t warmup_roundtrips);
+
 /// Build the code image for `cfg` over `reg`, using `profile` as the layout
 /// profile.  Pure function of its inputs.
 code::CodeImage build_image(net::StackKind kind, const code::StackConfig& cfg,
@@ -132,6 +149,15 @@ struct MeasureSpec {
   /// store snapshots in SideMeasurement::miss_cold / miss_steady.
   bool profile_misses = false;
 };
+
+enum class Side { kClient, kServer };
+
+/// The MeasureSpec for one side of `cap` laid out under `cfg`: that side's
+/// registry, trace and transmit split, scrub-seed offset 0 (client) or 1
+/// (server), no miss profiling.
+MeasureSpec side_spec(const Capture& cap, Side side,
+                      const code::StackConfig& cfg,
+                      const MachineParams& params);
 
 /// Lower spec.trace under spec.cfg's image and replay it cold + steady: the
 /// measurement kernel shared by Experiment, SweepRunner and the benches.
@@ -188,6 +214,18 @@ ConfigResult combine_sides(SideMeasurement client, SideMeasurement server,
                            double controller_us, bool client_inlined,
                            bool server_inlined, const MachineParams& params);
 
+/// `n` end-to-end samples that differ only in the scrub seed (Table 4's
+/// mean +/- sd).  Sample k is controller + classifier charge (as in
+/// combine_sides) + the client's critical prefix replayed at seed offset
+/// 100 + 7k + the server's at 200 + 13k.  Each side is imaged and lowered
+/// once; every sample equals that sum over measure_side(...).critical_us
+/// at the same offsets, bit for bit (tested).
+std::vector<double> measure_te_samples(const Capture& cap,
+                                       const code::StackConfig& ccfg,
+                                       const code::StackConfig& scfg,
+                                       const MachineParams& params,
+                                       std::uint64_t n);
+
 class Experiment {
  public:
   Experiment(net::StackKind kind, code::StackConfig client_cfg,
@@ -199,52 +237,37 @@ class Experiment {
 
   /// Warm up and capture both sides' traces without measuring anything
   /// (idempotent; run() and the accessors below trigger it implicitly).
-  /// Exposed for callers that want the traces/specs but will run their own
-  /// measure_side() variants (e.g. the fleet engine's slow-path pricing).
-  void capture();
+  /// Exposed for callers that want the traces but will run their own
+  /// measure_side() variants through side_spec().
+  const Capture& capture();
 
-  /// Per-sample end-to-end latency with varied scrub seeds (for the
-  /// mean +/- stddev the paper reports).
+  /// measure_te_samples() over this experiment's capture and configs.
   std::vector<double> te_samples(std::uint64_t n_samples);
 
   /// The captured client path trace (profile for layout, Table 3 analysis).
-  const code::PathTrace& client_trace() const noexcept { return client_trace_; }
-  const code::PathTrace& server_trace() const noexcept { return server_trace_; }
-  std::size_t client_tx_split() const noexcept { return client_split_; }
-  net::World& world() noexcept { return *world_; }
+  const code::PathTrace& client_trace() { return capture().traces.client; }
+  std::size_t client_tx_split() { return capture().traces.client_split; }
+  net::World& world() { return *capture().world; }
 
   /// Lower the client trace under this config's image (exposed for the
   /// footprint-map figure and ablation benches).
-  sim::MachineTrace lower_client(const code::StackConfig& cfg_override) const;
-  sim::MachineTrace lower_client() const { return lower_client(client_cfg_); }
+  sim::MachineTrace lower_client(const code::StackConfig& cfg_override);
+  sim::MachineTrace lower_client() { return lower_client(client_cfg_); }
 
   /// Lower only the first `count` events of the client trace (used to count
   /// instructions between protocol boundaries, Table 3).
-  sim::MachineTrace lower_client_prefix(std::size_t count) const;
+  sim::MachineTrace lower_client_prefix(std::size_t count);
 
   /// Index of the first kCall event naming `fn_name` in the client trace,
   /// or npos.
-  std::size_t find_client_call(std::string_view fn_name) const;
-
-  /// MeasureSpec for this experiment's client/server side (capture() must
-  /// have run; the spec borrows the world's registry and this object's
-  /// trace).  Exposed so callers can tweak one field (seed, profiling)
-  /// without re-deriving the rest.
-  MeasureSpec client_spec() const;
-  MeasureSpec server_spec() const;
+  std::size_t find_client_call(std::string_view fn_name);
 
  private:
   net::StackKind kind_;
   code::StackConfig client_cfg_;
   code::StackConfig server_cfg_;
   MachineParams params_;
-
-  std::unique_ptr<net::World> world_;
-  code::PathTrace client_trace_;
-  code::PathTrace server_trace_;
-  std::size_t client_split_ = 0;
-  std::size_t server_split_ = 0;
-  bool captured_ = false;
+  Capture cap_;  ///< empty (no world) until capture()
 };
 
 /// Convenience: run one configuration end to end.

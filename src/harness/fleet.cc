@@ -43,21 +43,21 @@ BurstCostTable measure_burst_costs(net::StackKind kind,
     throw std::invalid_argument(
         "measure_burst_costs: max_positions must be >= 1");
   }
-  Experiment e(kind, cfg, cfg, params);
-  e.capture();
+  const Capture cap =
+      capture_world(kind, cfg, cfg, params.warmup_roundtrips);
 
   BurstCostTable table;
   table.kind = kind;
   table.config_name = cfg.name;
   table.params_key = machine_params_key(params);
   table.controller_us =
-      e.world().wire().params().one_way_us(proto::Lance::kMinFrame);
+      cap.world->wire().params().one_way_us(proto::Lance::kMinFrame);
 
   // Fast path: the server's receive activation as captured (the inlined
   // composite when path_inlining is on), replayed back to back —
   // position 0 is the classic steady replay, later positions inherit the
   // residue their predecessors left in the primary caches.
-  const MeasureSpec sspec = e.server_spec();
+  const MeasureSpec sspec = side_spec(cap, Side::kServer, cfg, params);
   StreamSpec fast_stream;
   fast_stream.base = sspec;
   fast_stream.burst = max_positions;
@@ -77,8 +77,8 @@ BurstCostTable measure_burst_costs(net::StackKind kind,
   slow_trace.events.push_back({code::EventKind::kMarker, code::kInvalidFn, 0,
                                code::Marker::kSlowPathBegin, 0});
   slow_trace.events.insert(slow_trace.events.end(),
-                           e.server_trace().events.begin(),
-                           e.server_trace().events.end());
+                           cap.traces.server.events.begin(),
+                           cap.traces.server.events.end());
   slow_trace.events.push_back({code::EventKind::kMarker, code::kInvalidFn, 0,
                                code::Marker::kSlowPathEnd, 0});
   table.slow_us.reserve(max_positions);
@@ -89,7 +89,7 @@ BurstCostTable measure_burst_costs(net::StackKind kind,
     // (exactly what the single-activation steady replay does); the image
     // profile stays the fast capture.
     slow_stream.base.trace = &slow_trace;
-    slow_stream.base.profile = &e.server_trace();
+    slow_stream.base.profile = &cap.traces.server;
     slow_stream.base.split = sspec.split + 1;  // one marker prepended
     slow_stream.activations.assign(p, sspec.trace);
     slow_stream.activations.push_back(&slow_trace);

@@ -11,15 +11,17 @@
 //    path_inlining (classifier slow-path markers), and the warm-up
 //    roundtrip count.  Layout-only fields (outlining, cloning, layout
 //    strategy, specialization flags) do NOT key the cache: STD/OUT/CLO/BAD
-//    replay one shared immutable trace.  The cached World stays alive so
-//    its per-host registries remain valid for lowering.
+//    replay one shared immutable trace.  Each entry is a Capture, whose
+//    World stays alive so its per-host registries remain valid for
+//    lowering.
 //
 //  * Worker pool: lowering and simulation are pure functions of
 //    (registry, trace, config, params) — see measure_side() — so jobs run
-//    concurrently on std::threads over the shared capture entries.
-//    Results are stored by job index: ordering is deterministic and the
-//    numbers are byte-identical to the serial Experiment path (same seeds,
-//    same inputs, same arithmetic).
+//    concurrently on std::threads over the shared captures.  Te samples
+//    come from measure_te_samples(), the same function
+//    Experiment::te_samples uses.  Results are stored by job index:
+//    ordering is deterministic and the numbers are byte-identical to the
+//    serial Experiment path (same seeds, same inputs, same arithmetic).
 //
 //  * Structured metrics: write_sweep_metrics() emits one JSON file per
 //    bench (bench/out/<bench>.json) with cycles, CPI, iCPI, mCPI, per-cache
@@ -46,8 +48,8 @@ struct SweepJob {
   code::StackConfig client;
   code::StackConfig server;
   MachineParams params = MachineParams::defaults();
-  /// When > 0, also collect this many end-to-end samples with the varied
-  /// scrub seeds Experiment::te_samples uses (Table 4's mean +/- stddev).
+  /// When > 0, also collect this many end-to-end samples with
+  /// measure_te_samples() (Table 4's mean +/- stddev).
   std::uint64_t te_sample_count = 0;
   /// Attach a miss-attribution profiler to both sides' replays and emit an
   /// `l96.missmap.v1` section on the row.  Deliberately NOT part of the
@@ -89,30 +91,6 @@ std::string capture_key(net::StackKind kind, const code::StackConfig& ccfg,
                         const code::StackConfig& scfg,
                         std::uint64_t warmup_roundtrips);
 
-/// Captures PathTraces once per functional configuration and keeps the
-/// owning World alive so the traces' registries stay valid.
-class TraceCaptureCache {
- public:
-  struct Entry {
-    std::unique_ptr<net::World> world;
-    CaptureResult traces;
-    double controller_us = 0;   ///< two wire+controller traversals
-    double capture_wall_ms = 0;
-    std::uint64_t hits = 0;     ///< lookups served without a new capture
-  };
-
-  /// Return the entry for the job's functional configuration, capturing it
-  /// first if absent.  `was_cached` reports whether a capture was skipped.
-  const Entry& get(net::StackKind kind, const code::StackConfig& ccfg,
-                   const code::StackConfig& scfg,
-                   std::uint64_t warmup_roundtrips, bool* was_cached = nullptr);
-
-  std::size_t captures_performed() const noexcept { return entries_.size(); }
-
- private:
-  std::map<std::string, Entry> entries_;
-};
-
 class SweepRunner {
  public:
   /// `threads` = 0 picks the hardware concurrency, floored at 2 so sweeps
@@ -125,16 +103,15 @@ class SweepRunner {
 
   unsigned thread_count() const noexcept { return threads_; }
   /// Distinct functional captures performed so far (cache size).
-  std::size_t captures_performed() const noexcept {
-    return cache_.captures_performed();
-  }
+  std::size_t captures_performed() const noexcept { return captures_.size(); }
   /// Distinct worker threads that measured at least one job in the last
   /// run() call.
   std::size_t workers_used() const noexcept { return workers_used_; }
 
  private:
   unsigned threads_;
-  TraceCaptureCache cache_;
+  /// The trace-capture cache: one Capture per capture_key().
+  std::map<std::string, Capture> captures_;
   std::size_t workers_used_ = 0;
 };
 

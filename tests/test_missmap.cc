@@ -21,49 +21,32 @@ using sim::MissProfile;
 
 // --- shared captures (one world per functional configuration) --------------
 
-struct Captured {
-  std::unique_ptr<net::World> world;
-  harness::CaptureResult traces;
-};
-
-const Captured& capture_for(net::StackKind kind, const StackConfig& cfg) {
-  static std::map<std::string, std::unique_ptr<Captured>> cache;
+const harness::Capture& capture_for(net::StackKind kind,
+                                    const StackConfig& cfg) {
+  static std::map<std::string, harness::Capture> cache;
   const auto params = harness::MachineParams::defaults();
   const std::string key =
       harness::capture_key(kind, cfg, cfg, params.warmup_roundtrips);
-  auto& slot = cache[key];
-  if (!slot) {
-    slot = std::make_unique<Captured>();
-    slot->world = std::make_unique<net::World>(kind, cfg, cfg);
-    slot->world->start(~std::uint64_t{0});
-    slot->traces =
-        harness::capture_traces(*slot->world, params.warmup_roundtrips);
+  auto it = cache.find(key);
+  if (it == cache.end()) {
+    it = cache
+             .emplace(key, harness::capture_world(kind, cfg, cfg,
+                                                  params.warmup_roundtrips))
+             .first;
   }
-  return *slot;
+  return it->second;
 }
 
-harness::MeasureSpec client_spec(net::StackKind kind, const StackConfig& cfg,
-                                 const Captured& c) {
-  harness::MeasureSpec s;
-  s.kind = kind;
-  s.cfg = cfg;
-  s.registry = &c.world->client().registry();
-  s.trace = &c.traces.client;
-  s.split = c.traces.client_split;
-  s.seed_offset = 0;
-  return s;
+harness::MeasureSpec client_spec(const StackConfig& cfg,
+                                 const harness::Capture& c) {
+  return harness::side_spec(c, harness::Side::kClient, cfg,
+                            harness::MachineParams::defaults());
 }
 
-harness::MeasureSpec server_spec(net::StackKind kind, const StackConfig& cfg,
-                                 const Captured& c) {
-  harness::MeasureSpec s;
-  s.kind = kind;
-  s.cfg = cfg;
-  s.registry = &c.world->server().registry();
-  s.trace = &c.traces.server;
-  s.split = c.traces.server_split;
-  s.seed_offset = 1;
-  return s;
+harness::MeasureSpec server_spec(const StackConfig& cfg,
+                                 const harness::Capture& c) {
+  return harness::side_spec(c, harness::Side::kServer, cfg,
+                            harness::MachineParams::defaults());
 }
 
 // --- conservation -----------------------------------------------------------
@@ -114,9 +97,9 @@ void expect_conserves(const MissProfile& p, const sim::RunResult& r,
 void run_conservation(net::StackKind kind, const StackConfig& cfg) {
   const StackConfig functional =
       cfg.path_inlining ? StackConfig::All() : StackConfig::Std();
-  const Captured& c = capture_for(kind, functional);
+  const harness::Capture& c = capture_for(kind, functional);
   for (auto make : {client_spec, server_spec}) {
-    harness::MeasureSpec spec = make(kind, cfg, c);
+    harness::MeasureSpec spec = make(cfg, c);
     spec.profile_misses = true;
     const auto m = harness::measure_side(spec);
     ASSERT_TRUE(m.miss_cold);
@@ -141,10 +124,10 @@ TEST(MissProfiler, ConservesRpcAll) {
 }
 
 TEST(MissProfiler, UnprofiledMeasurementHasNoSnapshots) {
-  const Captured& c =
+  const harness::Capture& c =
       capture_for(net::StackKind::kTcpIp, StackConfig::Std());
   const auto m = harness::measure_side(
-      client_spec(net::StackKind::kTcpIp, StackConfig::Std(), c));
+      client_spec(StackConfig::Std(), c));
   EXPECT_FALSE(m.miss_cold);
   EXPECT_FALSE(m.miss_steady);
 }
@@ -153,10 +136,10 @@ TEST(MissProfiler, AttributesMissesToKnownFunctions) {
   // The hot protocol functions must appear by name; the catch-all unknown
   // owner must not dominate (the owner map covers the image and the data
   // regions the lowering actually touches).
-  const Captured& c =
+  const harness::Capture& c =
       capture_for(net::StackKind::kTcpIp, StackConfig::Std());
   harness::MeasureSpec spec =
-      client_spec(net::StackKind::kTcpIp, StackConfig::Std(), c);
+      client_spec(StackConfig::Std(), c);
   spec.profile_misses = true;
   const auto m = harness::measure_side(spec);
   ASSERT_TRUE(m.miss_cold);
@@ -175,13 +158,13 @@ TEST(MissProfiler, AttributesMissesToKnownFunctions) {
 // --- determinism ------------------------------------------------------------
 
 TEST(MissMapJson, ByteIdenticalAcrossRuns) {
-  const Captured& c =
+  const harness::Capture& c =
       capture_for(net::StackKind::kTcpIp, StackConfig::Std());
   auto measure = [&] {
     harness::MeasureSpec cs =
-        client_spec(net::StackKind::kTcpIp, StackConfig::Std(), c);
+        client_spec(StackConfig::Std(), c);
     harness::MeasureSpec ss =
-        server_spec(net::StackKind::kTcpIp, StackConfig::Std(), c);
+        server_spec(StackConfig::Std(), c);
     cs.profile_misses = ss.profile_misses = true;
     return harness::combine_sides(harness::measure_side(cs),
                                   harness::measure_side(ss), 0.0, false,
@@ -220,10 +203,10 @@ void expect_same_measurement(const harness::SideMeasurement& a,
 }
 
 TEST(MeasureSpec, ExplicitProfileEqualToTraceMatchesDefault) {
-  const Captured& c =
+  const harness::Capture& c =
       capture_for(net::StackKind::kTcpIp, StackConfig::Out());
   harness::MeasureSpec spec =
-      client_spec(net::StackKind::kTcpIp, StackConfig::Out(), c);
+      client_spec(StackConfig::Out(), c);
   const auto defaulted = harness::measure_side(spec);
   spec.profile = &c.traces.client;
   expect_same_measurement(harness::measure_side(spec), defaulted);
@@ -232,9 +215,9 @@ TEST(MeasureSpec, ExplicitProfileEqualToTraceMatchesDefault) {
 TEST(MeasureSpec, RejectsNullRegistryAndTrace) {
   harness::MeasureSpec spec;
   EXPECT_THROW(harness::measure_side(spec), std::invalid_argument);
-  const Captured& c =
+  const harness::Capture& c =
       capture_for(net::StackKind::kTcpIp, StackConfig::Std());
-  spec = client_spec(net::StackKind::kTcpIp, StackConfig::Std(), c);
+  spec = client_spec(StackConfig::Std(), c);
   spec.trace = nullptr;
   EXPECT_THROW(harness::measure_side(spec), std::invalid_argument);
 }

@@ -21,14 +21,16 @@ using harness::StreamMeasurement;
 using harness::StreamSpec;
 
 // One shared capture: streams replay the client activation of an ALL/ALL
-// TCP/IP world (the Experiment owns the registry the trace refers to, so
-// it must outlive every spec derived from it).
-harness::Experiment& experiment() {
-  static harness::Experiment e(net::StackKind::kTcpIp,
-                               code::StackConfig::All(),
-                               code::StackConfig::All());
-  e.capture();
-  return e;
+// TCP/IP world (the capture owns the registry the trace refers to, so it
+// must outlive every spec derived from it).
+MeasureSpec client_spec() {
+  static const harness::Capture cap = harness::capture_world(
+      net::StackKind::kTcpIp, code::StackConfig::All(),
+      code::StackConfig::All(),
+      harness::MachineParams::defaults().warmup_roundtrips);
+  return harness::side_spec(cap, harness::Side::kClient,
+                            code::StackConfig::All(),
+                            harness::MachineParams::defaults());
 }
 
 void expect_same_run(const sim::RunResult& a, const sim::RunResult& b) {
@@ -45,7 +47,7 @@ void expect_same_run(const sim::RunResult& a, const sim::RunResult& b) {
 }
 
 TEST(StreamTest, PositionZeroIsByteIdenticalToSteadyReplay) {
-  const MeasureSpec spec = experiment().client_spec();
+  const MeasureSpec spec = client_spec();
   const SideMeasurement side = harness::measure_side(spec);
 
   StreamSpec sspec;
@@ -67,7 +69,7 @@ TEST(StreamTest, PositionZeroIsByteIdenticalToSteadyReplay) {
 
 TEST(StreamTest, PositionsAmortizeMonotonically) {
   StreamSpec sspec;
-  sspec.base = experiment().client_spec();
+  sspec.base = client_spec();
   sspec.burst = 4;
   const StreamMeasurement m = harness::measure_stream(sspec);
   ASSERT_EQ(m.positions.size(), 4u);
@@ -85,7 +87,7 @@ TEST(StreamTest, PositionsAmortizeMonotonically) {
 }
 
 TEST(StreamTest, ExplicitSequenceMatchesHomogeneousBurst) {
-  const MeasureSpec spec = experiment().client_spec();
+  const MeasureSpec spec = client_spec();
   StreamSpec burst;
   burst.base = spec;
   burst.burst = 3;
@@ -104,7 +106,7 @@ TEST(StreamTest, ExplicitSequenceMatchesHomogeneousBurst) {
 
 TEST(StreamTest, CarryoverRowsConserveAgainstTotalsAndRunResults) {
   StreamSpec sspec;
-  sspec.base = experiment().client_spec();
+  sspec.base = client_spec();
   sspec.base.profile_misses = true;
   sspec.burst = 3;
   const StreamMeasurement m = harness::measure_stream(sspec);
@@ -156,7 +158,7 @@ TEST(StreamTest, CarryoverRowsConserveAgainstTotalsAndRunResults) {
 
 TEST(StreamTest, SingleActivationProfileHasOnePositionAndNoCarryover) {
   StreamSpec sspec;
-  sspec.base = experiment().client_spec();
+  sspec.base = client_spec();
   sspec.base.profile_misses = true;
   sspec.burst = 1;
   const StreamMeasurement m = harness::measure_stream(sspec);
@@ -168,7 +170,7 @@ TEST(StreamTest, SingleActivationProfileHasOnePositionAndNoCarryover) {
 
 TEST(StreamTest, RejectsMalformedSpecs) {
   StreamSpec sspec;
-  sspec.base = experiment().client_spec();
+  sspec.base = client_spec();
   sspec.burst = 0;
   EXPECT_THROW(harness::measure_stream(sspec), std::invalid_argument);
 
@@ -177,7 +179,7 @@ TEST(StreamTest, RejectsMalformedSpecs) {
   EXPECT_THROW(harness::measure_stream(sspec), std::invalid_argument);
 
   StreamSpec no_trace;
-  no_trace.base = experiment().client_spec();
+  no_trace.base = client_spec();
   no_trace.base.trace = nullptr;
   EXPECT_THROW(harness::measure_stream(no_trace), std::invalid_argument);
 }

@@ -106,25 +106,6 @@ TEST(SweepRunner, CaptureKeyIgnoresLayoutOnlyFields) {
             base);
 }
 
-TEST(SweepRunner, TeSamplesMatchSerialPath) {
-  SweepJob j;
-  j.kind = net::StackKind::kTcpIp;
-  j.client = StackConfig::Std();
-  j.server = StackConfig::Std();
-  j.te_sample_count = 3;
-  SweepRunner runner(2);
-  const auto out = runner.run({j});
-  ASSERT_EQ(out.size(), 1u);
-  ASSERT_EQ(out[0].te_samples.size(), 3u);
-
-  harness::Experiment e(net::StackKind::kTcpIp, StackConfig::Std(),
-                        StackConfig::Std());
-  const auto serial = e.te_samples(3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(out[0].te_samples[i], serial[i]) << i;
-  }
-}
-
 TEST(SweepRunner, ShrunkWarmupIsAPartOfTheKeyAndStillRuns) {
   // MachineParams::warmup_roundtrips lets sweeps shrink warm-up
   // deliberately; a shorter warm-up is a distinct functional capture.
