@@ -18,16 +18,16 @@
 // model (FlowCacheCosts, measured by harness/classify.h) are mutually
 // exclusive ways to price the same classification — charging both would
 // double-count it.  The repo enforces the split at the entry points:
-// run_fleet and measure_classifier_costs reject any MachineParams with a
-// nonzero classifier_overhead_us.  This bench owns the flat knob, so it
-// also pins the rejection: both calls must throw, or the exit goes
+// run_sharded_fleet and measure_classifier_costs reject any MachineParams
+// with a nonzero classifier_overhead_us.  This bench owns the flat knob,
+// so it also pins the rejection: both calls must throw, or the exit goes
 // nonzero.
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 #include "harness/classify.h"
-#include "harness/fleet.h"
+#include "harness/shard.h"
 #include "harness/sweep.h"
 #include "harness/tables.h"
 
@@ -109,18 +109,18 @@ int main() {
 
     bool fleet_threw = false;
     try {
-      harness::FleetSpec spec;
-      spec.config = code::StackConfig::All();
-      spec.params = flat;
+      harness::ShardSpec spec;
+      spec.fleet.config = code::StackConfig::All();
+      spec.fleet.params = flat;
       const harness::BurstCostTable costs = harness::measure_burst_costs(
-          spec.kind, spec.config, 1, spec.params);
-      harness::run_fleet(spec, costs);
+          spec.fleet.kind, spec.fleet.config, 1, spec.fleet.params);
+      harness::run_sharded_fleet(spec, costs);
     } catch (const std::invalid_argument&) {
       fleet_threw = true;
     }
     if (!fleet_threw) {
       std::fprintf(stderr,
-                   "FAIL: run_fleet accepted a nonzero "
+                   "FAIL: run_sharded_fleet accepted a nonzero "
                    "classifier_overhead_us — classification would be "
                    "charged by both models\n");
       ++audit_failures;

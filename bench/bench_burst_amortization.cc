@@ -17,11 +17,11 @@
 //  * Fold the curves into latency-vs-throughput points for batch sizes
 //    1/4/16/64: mean per-packet cost of a burst, and the service
 //    throughput it implies.
-//  * Run a measured ALL fleet (run_fleet) over the same batch sizes as an
-//    end-to-end cross-check of the analytic fold.
+//  * Run a measured ALL fleet (1-core shard rows) over the same batch
+//    sizes as an end-to-end cross-check of the analytic fold.
 //
 // Output: bench/out/burst_amortization.json, schema l96.burst.v1 (curves +
-// batch table per layout, fleet rows under "fleet" as l96.fleet.v2).
+// batch table per layout, fleet rows under "fleet" as l96.shard.v2).
 //
 // Exit status enforces the core claims:
 //  * first-in-burst cost strictly greater than the steady amortized cost
@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
   // packet is a plain LRU hit: the batch size is the only moving part).
   const harness::BurstCostTable table = harness::measure_burst_costs(
       net::StackKind::kTcpIp, code::StackConfig::All(), kPositions);
-  std::vector<harness::FleetSpec> fleet_specs;
+  harness::ShardRunSpec fleet_grid;
   for (std::size_t b : kBatches) {
     harness::FleetSpec spec;
     spec.label = "all/b" + std::to_string(b);
@@ -156,19 +156,18 @@ int main(int argc, char** argv) {
     spec.seed = 42;
     spec.scheme = code::FlowCacheScheme::kLru;
     spec.cache_capacity = 8;
-    fleet_specs.push_back(std::move(spec));
+    fleet_grid.rows.push_back({.fleet = std::move(spec)});
   }
-  harness::FleetRunSpec fleet_grid;
-  fleet_grid.rows = fleet_specs;
   fleet_grid.costs = table;
-  const std::vector<harness::FleetResult> fleet_rows =
-      harness::run(fleet_grid).fleet;
+  const std::vector<harness::ShardResult> fleet_rows =
+      harness::run(fleet_grid).shard;
 
   harness::Table fleet_t("Measured ALL fleet, 128 packets, 8 connections, "
                          "uniform draw");
   fleet_t.columns({"batch", "p50 [us]", "mean [us]", "max [us]"});
   for (const auto& r : fleet_rows) {
-    fleet_t.row({std::to_string(r.spec.batch), harness::fmt(r.latency.p50, 2),
+    fleet_t.row({std::to_string(r.spec.fleet.batch),
+                 harness::fmt(r.latency.p50, 2),
                  harness::fmt(r.latency.mean, 2),
                  harness::fmt(r.latency.max, 2)});
   }
@@ -203,7 +202,7 @@ int main(int argc, char** argv) {
                           .set("batches", std::move(batches)));
   }
   section.set("layouts", std::move(layouts));
-  section.set("fleet", harness::fleet_json(table, fleet_rows));
+  section.set("fleet", harness::shard_json(table, fleet_rows));
 
   const std::filesystem::path out_path =
       std::filesystem::path(out_dir) / "burst_amortization.json";
@@ -272,9 +271,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "FAIL: fleet mean rose from batch %zu (%.3f us) to batch "
                    "%zu (%.3f us)\n",
-                   fleet_rows[i - 1].spec.batch,
-                   fleet_rows[i - 1].latency.mean, fleet_rows[i].spec.batch,
-                   fleet_rows[i].latency.mean);
+                   fleet_rows[i - 1].spec.fleet.batch,
+                   fleet_rows[i - 1].latency.mean,
+                   fleet_rows[i].spec.fleet.batch, fleet_rows[i].latency.mean);
       ++failures;
     }
   }

@@ -14,10 +14,11 @@
 //
 // Output: bench/out/classifier_scale.json — an `l96.classifier.v1` section
 // carrying the per-rule-count measurements, both crossovers, the fuzz
-// verdict, and the fleet grid as an embedded `l96.fleet.v2` section.  A
-// pure function of the seeds: byte-identical across runs and across
-// harness::run worker counts (enforced below by running the grid at 1 and 2
-// workers and comparing the serialized sections).
+// verdict, and the fleet grid (1-core shard rows) as an embedded
+// `l96.shard.v2` section.  A pure function of the seeds: byte-identical
+// across runs and across harness::run worker counts (enforced below by
+// running the grid at 1 and 2 workers and comparing the serialized
+// sections).
 //
 // Exit status enforces:
 //  1. tuple == linear decisions on every swept rule count, over seeded
@@ -314,15 +315,15 @@ int main(int argc, char** argv) {
       specs.push_back(std::move(spec));
     }
   }
-  harness::FleetRunSpec grid;
-  grid.rows = specs;
+  harness::ShardRunSpec grid;
+  for (const auto& spec : specs) grid.rows.push_back({.fleet = spec});
   grid.costs = costs;
   grid.common.workers = 1;
-  const std::vector<harness::FleetResult> rows = harness::run(grid).fleet;
+  const std::vector<harness::ShardResult> rows = harness::run(grid).shard;
   grid.common.workers = 2;
-  const std::vector<harness::FleetResult> rows2 = harness::run(grid).fleet;
-  const harness::Json fleet = harness::fleet_json(costs, rows);
-  if (fleet.dump() != harness::fleet_json(costs, rows2).dump()) {
+  const std::vector<harness::ShardResult> rows2 = harness::run(grid).shard;
+  const harness::Json fleet = harness::shard_json(costs, rows);
+  if (fleet.dump() != harness::shard_json(costs, rows2).dump()) {
     std::fprintf(stderr,
                  "FAIL: fleet grid is not byte-identical across worker "
                  "counts (1 vs 2)\n");
@@ -331,10 +332,10 @@ int main(int argc, char** argv) {
 
   // Invariant 5: packet conservation and zero unmatched scans per row.
   for (const auto& r : rows) {
-    if (r.spec.packets != r.scheduled_sampled + r.dropped_in_churn ||
+    if (r.spec.fleet.packets != r.scheduled_sampled + r.dropped_in_churn ||
         r.packets_sampled != r.scheduled_sampled + r.handshake_sampled) {
       std::fprintf(stderr, "FAIL: %s packet accounting does not add up\n",
-                   r.spec.label.c_str());
+                   r.spec.fleet.label.c_str());
       ++failures;
     }
     if (r.cache.unmatched_scans != 0) {
@@ -342,7 +343,7 @@ int main(int argc, char** argv) {
                    "FAIL: %s shows %llu unmatched scans — a decoy path "
                    "shadowed fleet traffic or the real path stopped "
                    "matching\n",
-                   r.spec.label.c_str(),
+                   r.spec.fleet.label.c_str(),
                    static_cast<unsigned long long>(r.cache.unmatched_scans));
       ++failures;
     }
@@ -359,7 +360,8 @@ int main(int argc, char** argv) {
             static_cast<double>(row.lin.scan_match.rules_examined);
     bool wins_all_skewed = true;
     for (const auto& r : rows) {
-      if (r.spec.rules != row.rules || r.spec.zipf_s <= 0.0) continue;
+      const harness::FleetSpec& f = r.spec.fleet;
+      if (f.rules != row.rules || f.zipf_s <= 0.0) continue;
       const double cached_avg =
           r.cache.lookups != 0
               ? r.cache.cost_us / static_cast<double>(r.cache.lookups)
@@ -369,7 +371,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "FAIL: %s cached average %.3f us does not undercut the "
                      "linear always-scan %.3f us\n",
-                     r.spec.label.c_str(), cached_avg, always_scan);
+                     r.spec.fleet.label.c_str(), cached_avg, always_scan);
         ++failures;
       }
     }
@@ -397,7 +399,7 @@ int main(int argc, char** argv) {
                     " packets/row, 32 connections, capacity 8");
   ft.columns({"row", "hit%", "avg lookup [us]", "p50 [us]", "p99 [us]"});
   for (const auto& r : rows) {
-    ft.row({r.spec.label, harness::fmt(100.0 * r.cache.hit_ratio(), 1),
+    ft.row({r.spec.fleet.label, harness::fmt(100.0 * r.cache.hit_ratio(), 1),
             harness::fmt(r.cache.lookups != 0
                              ? r.cache.cost_us /
                                    static_cast<double>(r.cache.lookups)

@@ -9,16 +9,16 @@
 // appear in the latency tail.  Burst rows (batch 16) coalesce packets per
 // flow draw and price positions > 0 from the position-indexed cost table
 // (cross-packet cache carryover); batch-1 rows reproduce the pre-burst
-// engine byte for byte.
+// engine byte for byte.  Every scheme row is a 1-core shard row.
 //
 // Outputs:
 //  * bench/out/fleet_scaling.json — l96.sweep.v1 rows (one per scheme,
-//    sharing a single ALL/ALL trace capture) each carrying an l96.fleet.v2
+//    sharing a single ALL/ALL trace capture) each carrying an l96.shard.v2
 //    section with that scheme's grid rows.
-//  * bench/out/fleet_summary.json — the same l96.fleet.v2 data standalone.
+//  * bench/out/fleet_summary.json — the same l96.shard.v2 data standalone.
 //    A pure function of the seeds: byte-identical across runs and across
 //    harness::run worker counts (verify with sha256sum).
-//  * bench/out/shard_summary.json — l96.shard.v1 rows from the sharded
+//  * bench/out/shard_summary.json — l96.shard.v2 rows from the sharded
 //    multi-core grid (harness/shard.h): the scaling chain (4096 flows,
 //    1/4/16/64 cores, hash vs least-loaded steering, uniform vs Zipf 1.2),
 //    open-loop rows whose arrival rate is derived from the 1-core closed
@@ -35,13 +35,12 @@
 //     spec.packets   == scheduled_sampled + dropped_in_churn
 //     packets_sampled == scheduled_sampled + handshake_sampled
 // so schedule accounting can never silently drift from the spec again.
-// The shard grid adds four more enforced invariants:
-//  1. the 1-core shard rows reproduce flat run_fleet digests exactly;
-//  2. aggregate closed-loop throughput strictly increases 1 -> 4 -> 16
+// The shard grid adds three more enforced invariants:
+//  1. aggregate closed-loop throughput strictly increases 1 -> 4 -> 16
 //     cores under uniform load;
-//  3. on every open-loop Zipf (s >= 1.2) row the hot core's sojourn p999
+//  2. on every open-loop Zipf (s >= 1.2) row the hot core's sojourn p999
 //     exceeds the fleet's median per-core sojourn p999;
-//  4. per-core packet conservation holds on every shard row.
+//  3. per-core packet conservation holds on every shard row.
 //
 //   bench_fleet_scaling [packets-per-row] [out-dir] [jumbo-connections]
 #include <algorithm>
@@ -53,7 +52,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/fleet.h"
 #include "harness/runner.h"
 #include "harness/shard.h"
 #include "harness/sweep.h"
@@ -111,10 +109,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  harness::FleetRunSpec fleet_grid;
-  fleet_grid.rows = specs;
+  harness::ShardRunSpec fleet_grid;
+  for (const auto& spec : specs) fleet_grid.rows.push_back({.fleet = spec});
   fleet_grid.costs = costs;
-  const std::vector<harness::FleetResult> rows = harness::run(fleet_grid).fleet;
+  const std::vector<harness::ShardResult> rows = harness::run(fleet_grid).shard;
 
   harness::Table t(
       "Fleet scaling: flow-cache schemes, " + std::to_string(packets) +
@@ -123,7 +121,7 @@ int main(int argc, char** argv) {
   t.columns({"row", "hit%", "stale%", "slow", "p50 [us]", "p99 [us]",
              "p999 [us]", "mean [us]"});
   for (const auto& r : rows) {
-    t.row({r.spec.label, harness::fmt(100.0 * r.cache.hit_ratio(), 1),
+    t.row({r.spec.fleet.label, harness::fmt(100.0 * r.cache.hit_ratio(), 1),
            harness::fmt(100.0 * r.cache.stale_ratio(), 2),
            std::to_string(r.slow_packets), harness::fmt(r.latency.p50, 1),
            harness::fmt(r.latency.p99, 1), harness::fmt(r.latency.p999, 1),
@@ -138,7 +136,7 @@ int main(int argc, char** argv) {
   std::printf(" us\n");
 
   // l96.sweep.v1 emission: one row per scheme over the shared ALL/ALL
-  // capture, each carrying its grid slice as an l96.fleet.v2 section.
+  // capture, each carrying its grid slice as an l96.shard.v2 section.
   std::vector<harness::SweepJob> jobs;
   for (auto scheme : schemes) {
     harness::SweepJob j;
@@ -150,11 +148,11 @@ int main(int argc, char** argv) {
   harness::SweepRunner sweep_runner;
   auto outcomes = sweep_runner.run(jobs);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    std::vector<harness::FleetResult> slice;
+    std::vector<harness::ShardResult> slice;
     for (const auto& r : rows) {
-      if (r.spec.scheme == schemes[i]) slice.push_back(r);
+      if (r.spec.fleet.scheme == schemes[i]) slice.push_back(r);
     }
-    outcomes[i].extra_json("fleet", harness::fleet_json(costs, slice));
+    outcomes[i].extra_json("fleet", harness::shard_json(costs, slice));
   }
   const std::string sweep_path = harness::write_sweep_metrics(
       "fleet_scaling", sweep_runner, jobs, outcomes, out_dir);
@@ -167,7 +165,7 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(summary_path.parent_path());
   {
     std::ofstream os(summary_path);
-    harness::fleet_json(costs, rows).dump(os);
+    harness::shard_json(costs, rows).dump(os);
     os << "\n";
   }
   std::printf("wrote %s\n", summary_path.string().c_str());
@@ -198,8 +196,8 @@ int main(int argc, char** argv) {
     return std::string(label);
   };
 
-  // The chain population must fit the flat single-world port space so the
-  // 1-core rows can be digest-pinned against run_fleet.
+  // The chain population must fit one world's port space so the 1-core
+  // rows can run.
   const std::size_t chain_conns = 4096;
   const std::size_t core_grid[] = {1, 4, 16, 64};
   const harness::SteeringPolicy steerings[] = {
@@ -252,7 +250,7 @@ int main(int argc, char** argv) {
     }
   }
   // Jumbo rows: the 100k..1M-connection population, shard-local port
-  // spaces (a single flat world cannot even hold it).
+  // spaces (a single world cannot even hold it).
   for (std::size_t cores : {std::size_t{4}, std::size_t{16}, std::size_t{64}}) {
     harness::ShardSpec s;
     s.fleet = shard_fleet(jumbo_conns, 1.2);
@@ -310,12 +308,12 @@ int main(int argc, char** argv) {
   // no scheduled packet may vanish unpriced, and every priced frame is
   // either a scheduled packet or a churn-handshake frame.
   for (const auto& r : rows) {
-    if (r.spec.packets != r.scheduled_sampled + r.dropped_in_churn) {
+    if (r.spec.fleet.packets != r.scheduled_sampled + r.dropped_in_churn) {
       std::fprintf(stderr,
                    "FAIL: %s scheduled %llu packets but priced %llu + "
                    "dropped %llu in churn\n",
-                   r.spec.label.c_str(),
-                   static_cast<unsigned long long>(r.spec.packets),
+                   r.spec.fleet.label.c_str(),
+                   static_cast<unsigned long long>(r.spec.fleet.packets),
                    static_cast<unsigned long long>(r.scheduled_sampled),
                    static_cast<unsigned long long>(r.dropped_in_churn));
       ++failures;
@@ -324,7 +322,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "FAIL: %s sampled %llu frames but scheduled %llu + "
                    "handshake %llu\n",
-                   r.spec.label.c_str(),
+                   r.spec.fleet.label.c_str(),
                    static_cast<unsigned long long>(r.packets_sampled),
                    static_cast<unsigned long long>(r.scheduled_sampled),
                    static_cast<unsigned long long>(r.handshake_sampled));
@@ -332,8 +330,8 @@ int main(int argc, char** argv) {
     }
   }
   // Jain ordering: per (connections, skew>0, batch) cell, LRU >= one-behind.
-  std::map<std::string, const harness::FleetResult*> by_label;
-  for (const auto& r : rows) by_label[r.spec.label] = &r;
+  std::map<std::string, const harness::ShardResult*> by_label;
+  for (const auto& r : rows) by_label[r.spec.fleet.label] = &r;
   for (std::size_t conns : conn_counts) {
     for (double s : skews) {
       if (s <= 0.0) continue;
@@ -367,43 +365,27 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "FAIL: %s shows %llu stale hits but only %llu slow-path "
                    "packets — a stale hit did not fall back\n",
-                   r.spec.label.c_str(),
+                   r.spec.fleet.label.c_str(),
                    static_cast<unsigned long long>(r.cache.stale_hits),
                    static_cast<unsigned long long>(r.slow_packets));
       ++failures;
     }
-    const bool resident = r.spec.scheme == code::FlowCacheScheme::kLru &&
-                          r.spec.connections <= r.spec.cache_capacity;
+    const harness::FleetSpec& f = r.spec.fleet;
+    const bool resident = f.scheme == code::FlowCacheScheme::kLru &&
+                          f.connections <= f.cache_capacity;
     if (resident && r.churns != 0 &&
         (r.cache.stale_hits == 0 || r.slow_packets == 0)) {
       std::fprintf(stderr,
                    "FAIL: %s churned %llu times but shows %llu stale hits / "
                    "%llu slow packets\n",
-                   r.spec.label.c_str(),
+                   r.spec.fleet.label.c_str(),
                    static_cast<unsigned long long>(r.churns),
                    static_cast<unsigned long long>(r.cache.stale_hits),
                    static_cast<unsigned long long>(r.slow_packets));
       ++failures;
     }
   }
-  // Shard invariant 1: every 1-core shard row reproduces the flat
-  // run_fleet digest byte for byte (the sharding refactor cannot have
-  // perturbed the single-machine engine).
-  for (const auto& r : shard_rows) {
-    if (r.spec.cores != 1) continue;
-    const harness::FleetResult flat = harness::run_fleet(r.spec.fleet, costs);
-    if (r.sample_digest != flat.sample_digest ||
-        r.packets_sampled != flat.packets_sampled) {
-      std::fprintf(stderr,
-                   "FAIL: %s 1-core digest %016llx != flat run_fleet digest "
-                   "%016llx\n",
-                   r.spec.fleet.label.c_str(),
-                   static_cast<unsigned long long>(r.sample_digest),
-                   static_cast<unsigned long long>(flat.sample_digest));
-      ++failures;
-    }
-  }
-  // Shard invariant 2: closed-loop aggregate throughput strictly increases
+  // Shard invariant 1: closed-loop aggregate throughput strictly increases
   // 1 -> 4 -> 16 cores under uniform load (hash steering).
   {
     std::map<std::size_t, double> thr;
@@ -422,7 +404,7 @@ int main(int argc, char** argv) {
       ++failures;
     }
   }
-  // Shard invariant 3: on every open-loop Zipf row the hot core's sojourn
+  // Shard invariant 2: on every open-loop Zipf row the hot core's sojourn
   // tail exceeds the fleet's median per-core tail (head-of-line: one hot
   // flow pins one core).
   for (const auto& r : shard_rows) {
@@ -438,7 +420,7 @@ int main(int argc, char** argv) {
       ++failures;
     }
   }
-  // Shard invariant 4: per-core packet conservation on every shard row.
+  // Shard invariant 3: per-core packet conservation on every shard row.
   for (const auto& r : shard_rows) {
     if (!r.conserved) {
       std::fprintf(stderr, "FAIL: %s failed per-core packet conservation\n",

@@ -243,14 +243,15 @@ int main(int argc, char** argv) {
   }
 
   // --- chaos-free byte-identity with the fleet engine ----------------------
-  // An empty timeline with the survival knobs off must reproduce
-  // run_fleet's per-packet samples exactly: same digest, same counts.
+  // An empty timeline with the survival knobs off must reproduce the
+  // 1-core shard row's per-packet samples exactly: same digest, same
+  // counts.
   {
     harness::RecoverySpec quiet;
     quiet.fleet = specs.front().fleet;
     quiet.fleet.label = "quiet";
-    const harness::FleetResult fleet =
-        harness::run_fleet(quiet.fleet, tables[0]);
+    const harness::ShardResult fleet =
+        harness::run_sharded_fleet({.fleet = quiet.fleet}, tables[0]);
     const harness::RecoveryResult rec = harness::run_recovery(quiet, tables[0]);
     if (rec.fleet.sample_digest != fleet.sample_digest ||
         rec.fleet.packets_sampled != fleet.packets_sampled ||

@@ -1,5 +1,5 @@
-// The packet driver: the one engine behind every fleet-shaped row (flat
-// fleet, shard core, recovery, LB failover).  A row is three choices:
+// The packet driver: the one engine behind every fleet-shaped row (shard
+// core, recovery, LB failover).  A row is three choices:
 //
 //  * topology — a TCP pair (net::World, one server sink), an RPC pair
 //    (MSELECT services; repair and churn are no-ops), or the LB tier
@@ -98,7 +98,7 @@ struct Plan {
 /// data packet of burst `burst`; phase 1 = a frame priced outside any burst
 /// (a churn handshake drained after burst `burst`).  Within one (burst,
 /// phase) all samples come from one core, in that core's append order, so
-/// a stable merge on the key reproduces the flat stream.
+/// a stable merge on the key reproduces the fleet-wide stream.
 struct TaggedSample {
   std::uint64_t burst = 0;
   std::uint32_t phase = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "harness/driver.h"
@@ -99,9 +100,24 @@ BurstCostTable measure_burst_costs(net::StackKind kind,
   return table;
 }
 
+FleetCounts& FleetCounts::operator+=(const FleetCounts& o) noexcept {
+  packets_sampled += o.packets_sampled;
+  scheduled_sampled += o.scheduled_sampled;
+  handshake_sampled += o.handshake_sampled;
+  dropped_in_churn += o.dropped_in_churn;
+  bursts += o.bursts;
+  slow_packets += o.slow_packets;
+  churns += o.churns;
+  cache += o.cache;
+  return *this;
+}
+
 ZipfSampler::ZipfSampler(std::size_t n, double s, std::uint64_t seed)
     : state_(seed != 0 ? seed : 0x9E3779B97F4A7C15ULL) {
   if (n == 0) throw std::invalid_argument("ZipfSampler: n must be > 0");
+  if (!std::isfinite(s)) {
+    throw std::invalid_argument("ZipfSampler: s must be finite");
+  }
   cdf_.resize(n);
   double total = 0;
   for (std::size_t k = 0; k < n; ++k) {
@@ -150,6 +166,20 @@ std::size_t conn_bucket_count(std::size_t flows) {
   return buckets;
 }
 
+std::unique_ptr<net::World> make_world(const FleetSpec& spec,
+                                       std::size_t flows) {
+  net::WorldOptions options;
+  options.tcp_conn_buckets = conn_bucket_count(flows);
+  auto world = std::make_unique<net::World>(spec.kind, spec.config,
+                                            spec.config, options);
+  world->server().enable_flow_cache(spec.scheme, spec.cache_capacity,
+                                    spec.cache_costs);
+  if (spec.rules > 0) {
+    world->server().install_scaled_classifier(spec.rules, spec.rule_seed);
+  }
+  return world;
+}
+
 driver::Run run_fleet_core(const FleetSpec& spec, const BurstCostTable& costs,
                            const std::vector<ScheduledBurst>& schedule,
                            const std::vector<std::uint32_t>& flow_core,
@@ -172,15 +202,7 @@ driver::Run run_fleet_core(const FleetSpec& spec, const BurstCostTable& costs,
         (tcp ? "client port" : "RPC procedure") + " space — use more cores");
   }
 
-  net::WorldOptions options;
-  options.tcp_conn_buckets = conn_bucket_count(flows);
-  net::World world(spec.kind, spec.config, spec.config, options);
-  world.server().enable_flow_cache(spec.scheme, spec.cache_capacity,
-                                   spec.cache_costs);
-  if (spec.rules > 0) {
-    world.server().install_scaled_classifier(spec.rules, spec.rule_seed);
-  }
-
+  const auto world = make_world(spec, flows);
   driver::Plan plan;
   plan.row = "fleet run stalled (" +
              (spec.label.empty() ? std::string("unlabeled") : spec.label) +
@@ -191,63 +213,12 @@ driver::Run run_fleet_core(const FleetSpec& spec, const BurstCostTable& costs,
   plan.core = core_id;
   plan.local_ports = local_ports;
   plan.pricer.burst = &costs;
-  run = driver::drive(driver::pair(world), plan);
+  run = driver::drive(driver::pair(*world), plan);
   run.result.spec = spec;
-  run.result.cache = world.server().flow_cache()->stats();
+  run.result.cache = world->server().flow_cache()->stats();
   return run;
 }
 
 }  // namespace fleet_detail
-
-FleetResult run_fleet(const FleetSpec& spec, const BurstCostTable& costs) {
-  driver::check_costs("run_fleet", spec, costs);
-  if (spec.connections > fleet_detail::kMaxFlowsPerWorld) {
-    throw std::invalid_argument(
-        "run_fleet: " + std::to_string(spec.connections) +
-        " connections exceed the single-world client port space (" +
-        std::to_string(fleet_detail::kMaxFlowsPerWorld) +
-        ") — use run_sharded_fleet (harness/shard.h)");
-  }
-  // The flat engine is the sharded engine with every flow on core 0.
-  const std::vector<fleet_detail::ScheduledBurst> schedule =
-      fleet_detail::build_schedule(spec);
-  const std::vector<std::uint32_t> flow_core(spec.connections, 0);
-  return fleet_detail::run_fleet_core(spec, costs, schedule, flow_core,
-                                      /*core_id=*/0, /*local_ports=*/false)
-      .result;
-}
-
-Json fleet_json(const BurstCostTable& costs,
-                const std::vector<FleetResult>& rows) {
-  Json section = emit_section("fleet", 2);
-  section.set("costs", costs_json(costs));
-  Json out_rows = Json::array();
-  for (const FleetResult& r : rows) {
-    const FleetSpec& s = r.spec;
-    Json row = fleet_row_json(s, /*with_kind=*/true);
-    row.set("rules", static_cast<std::uint64_t>(s.rules))
-        .set("rule_seed", s.rule_seed)
-        .set("cache_costs", Json::object()
-                                .set("measured", s.cache_costs.measured)
-                                .set("hit_us", s.cache_costs.hit_us)
-                                .set("probe_us", s.cache_costs.probe_us)
-                                .set("per_rule_us", s.cache_costs.per_rule_us))
-        .set("churn_every", s.churn_every)
-        .set("packets_sampled", r.packets_sampled)
-        .set("scheduled_sampled", r.scheduled_sampled)
-        .set("handshake_sampled", r.handshake_sampled)
-        .set("dropped_in_churn", r.dropped_in_churn)
-        .set("bursts", r.bursts)
-        .set("slow_packets", r.slow_packets)
-        .set("churns", r.churns)
-        .set("cache", cache_json(r.cache, CacheFields::kFleet))
-        .set("latency_us", percentiles_json(r.latency))
-        .set("sim_us", r.sim_us)
-        .set("sample_digest", r.sample_digest);
-    out_rows.push_back(std::move(row));
-  }
-  section.set("rows", std::move(out_rows));
-  return section;
-}
 
 }  // namespace l96::harness

@@ -1,31 +1,18 @@
-// Fleet rows: many concurrent connections over one net::World, demuxed
-// through a flow cache (code/flow_cache.h) in front of the classifier's
-// rule scan.
+// Fleet rows: N concurrent connections demuxed through a flow cache
+// (code/flow_cache.h) in front of the classifier's rule scan — what
+// demultiplexing costs when many flows share one host behind a
+// destination-locality cache (Jain, DEC-TR-592), the question the paper's
+// Section 3.3 classifier discussion leaves open.
 //
-// The single-connection Experiment measures the steady-state latency path;
-// a fleet run asks the orthogonal question the paper's Section 3.3
-// classifier discussion leaves open: what does demultiplexing cost when N
-// flows share one host and the classifier is front-ended by a
-// destination-locality cache (Jain, DEC-TR-592)?  The engine
-//
-//  * opens N client->server connections over one World,
-//  * drives a deterministic, Zipf-distributed *burst* schedule across them
-//    (seeded sampler; one flow draw per burst of `batch` back-to-back
-//    packets — per-flow coalescing in the style of batched NIC interfaces;
-//    popularity skew and batch size are the sweep axes),
-//  * prices every inbound server frame as
-//        controller/wire + cache-lookup cost + processing time,
-//    where processing time comes from a *position-indexed* burst cost
-//    table (BurstCostTable; a stale hit — connection churned, entry
-//    resident — takes the standalone slow path at its burst position), and
-//  * optionally churns the hottest connection every K packets (close +
-//    reopen), so the demux map's unbind hook invalidates the flow and the
-//    next frame takes a measured stale hit.
-//
-// The packets are driven by harness/driver.h, the engine every fleet-
-// shaped row shares.  Fixed seed + spec => byte-identical samples for any
-// harness::run worker count (one private World per row); batch == 1 makes
-// every packet first-in-burst, paying fast_us[0] / slow_us[0].
+// A row drives a seeded Zipf *burst* schedule (one flow draw per burst of
+// `batch` back-to-back packets, optional churn of the hottest connection)
+// and prices every inbound server frame as controller/wire + cache-lookup
+// cost + processing time, the last from a position-indexed BurstCostTable
+// (a stale hit after churn takes the standalone slow path at its burst
+// position).  This header holds the row's spec, counters and pricing
+// table.  A row runs as a ShardSpec through harness::run(ShardRunSpec) or
+// run_sharded_fleet (harness/shard.h), `cores = 1` being the
+// single-machine row; its packets move through harness/driver.h.
 #pragma once
 
 #include <cstdint>
@@ -34,14 +21,13 @@
 
 #include "code/flow_cache.h"
 #include "harness/experiment.h"
-#include "harness/json.h"
 #include "harness/stats.h"
 
 namespace l96::harness {
 
 /// Deterministic fingerprint of every MachineParams field that influences
 /// measured costs.  Burst cost tables carry the key they were measured
-/// under; run_fleet refuses to price a row whose params differ (a grid
+/// under; the driver refuses to price a row whose params differ (a grid
 /// sweeping cache sizes must measure one table per cell, not reuse the
 /// defaults').
 std::uint64_t machine_params_key(const MachineParams& params);
@@ -83,7 +69,8 @@ BurstCostTable measure_burst_costs(net::StackKind kind,
 
 /// Seeded Zipf(s) sampler over {0, ..., n-1}: P(k) proportional to
 /// 1/(k+1)^s (s = 0 is uniform).  Deterministic: xorshift64* over the
-/// seed, inverse-CDF lookup.
+/// seed, inverse-CDF lookup.  Throws std::invalid_argument when n == 0 or
+/// s is not finite.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double s, std::uint64_t seed);
@@ -124,39 +111,39 @@ struct FleetSpec {
   /// disables churn.
   std::uint64_t churn_every = 0;
   /// Params this row is priced under; must match the cost table's
-  /// params_key or run_fleet throws (cache-size sweeps must not silently
+  /// params_key or the run throws (cache-size sweeps must not silently
   /// reuse costs measured under the defaults).
   MachineParams params = MachineParams::defaults();
 };
 
-struct FleetResult {
-  FleetSpec spec;                   ///< echoed for reporting
+/// The packet counters every fleet-shaped row reports: a whole row, one
+/// of its cores, or a recovery row's fleet view.  Conservation (enforced
+/// by bench_fleet_scaling's exit status):
+///   spec.packets == scheduled_sampled + dropped_in_churn
+///   packets_sampled == scheduled_sampled + handshake_sampled
+struct FleetCounts {
   std::uint64_t packets_sampled = 0;  ///< inbound frames priced at the server
   std::uint64_t scheduled_sampled = 0;  ///< of which: scheduled data packets
   std::uint64_t handshake_sampled = 0;  ///< of which: churn handshake frames
   /// Scheduled packets that were never priced because their connection was
-  /// torn down with the frame still in flight.  Conservation (enforced by
-  /// bench_fleet_scaling's exit status):
-  ///   spec.packets == scheduled_sampled + dropped_in_churn
-  ///   packets_sampled == scheduled_sampled + handshake_sampled
+  /// torn down with the frame still in flight.
   std::uint64_t dropped_in_churn = 0;
   std::uint64_t bursts = 0;           ///< scheduled bursts (flow draws)
   std::uint64_t slow_packets = 0;     ///< routed through the slow path
   std::uint64_t churns = 0;
-  code::FlowCacheStats cache;       ///< scheme hit/miss/stale counters
-  LatencyPercentiles latency;       ///< per-packet latency distribution (us)
-  double sim_us = 0;                ///< virtual time the fleet run consumed
-  std::uint64_t sample_digest = 0;  ///< FNV-1a over the per-packet samples
+  code::FlowCacheStats cache;         ///< scheme hit/miss/stale counters
+
+  /// Field-wise sum (a row's counters are the sum over its cores).
+  FleetCounts& operator+=(const FleetCounts& o) noexcept;
 };
 
-/// Run one fleet row.  Throws std::runtime_error (naming the row) if the
-/// world stalls before the schedule completes, and std::invalid_argument
-/// when the cost table does not match the spec's kind/config/params.
-FleetResult run_fleet(const FleetSpec& spec, const BurstCostTable& costs);
-
-/// The rows + shared position-indexed costs as a schema-versioned section
-/// (`l96.fleet.v2`) for SweepOutcome::extra_json / standalone emission.
-Json fleet_json(const BurstCostTable& costs,
-                const std::vector<FleetResult>& rows);
+/// One world's run of a fleet row: what the packet driver returns for one
+/// core, and a recovery row's fleet view.
+struct FleetResult : FleetCounts {
+  FleetSpec spec;                   ///< echoed for reporting
+  LatencyPercentiles latency;       ///< per-packet latency distribution (us)
+  double sim_us = 0;                ///< virtual time the world consumed
+  std::uint64_t sample_digest = 0;  ///< FNV-1a over the per-packet samples
+};
 
 }  // namespace l96::harness

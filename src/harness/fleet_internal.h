@@ -1,11 +1,12 @@
-// Internal fleet-engine plumbing shared by the flat, sharded, recovery
-// and LB rows and the packet driver (harness/driver.h): the wire
-// identities, the one global burst schedule every row walks, and the
-// per-core execution the sharded runner splits a row into (see
-// harness/shard.h).  Not a public API.
+// Internal fleet-engine plumbing shared by the shard, recovery and LB
+// rows and the packet driver (harness/driver.h): the wire identities, the
+// one global burst schedule every row walks, the server world a row's
+// core runs on, and the per-core execution the shard runner splits a row
+// into (see harness/shard.h).  Not a public API.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,7 @@ inline constexpr std::size_t kMaxFlowsPerWorld =
 struct ScheduledBurst {
   std::size_t flow = 0;      ///< global flow index (Zipf draw)
   std::uint64_t len = 0;     ///< packets in this burst (last one truncated)
-  bool churn_after = false;  ///< the flat engine churns flow 0 after this
+  bool churn_after = false;  ///< flow 0 churns after this burst
 };
 
 /// The deterministic global schedule: one Zipf draw per burst, the last
@@ -47,13 +48,19 @@ std::vector<ScheduledBurst> build_schedule(const FleetSpec& spec);
 /// space bounds flows per world anyway).
 std::size_t conn_bucket_count(std::size_t flows);
 
+/// The client/server World one core of `spec` runs on: demux map sized by
+/// conn_bucket_count(flows), the spec's flow cache on the server, and the
+/// scaled classifier when spec.rules > 0.
+std::unique_ptr<net::World> make_world(const FleetSpec& spec,
+                                       std::size_t flows);
+
 /// Execute the bursts `core_id` owns (`flow_core[i]` maps global flow i to
 /// its core) on a private World, tagging every sample with its global
 /// (burst, phase) merge key.  Churn marks execute on flow 0's core.  With
 /// `local_ports` false flow i keeps its global wire identity (client port
-/// base + i) — the 1-core flat-equality pin; with it true each core numbers
-/// its flows locally, lifting the population cap to cores *
-/// kMaxFlowsPerWorld (steering keeps the canonical global identity).
+/// base + i); with it true each core numbers its flows locally, lifting
+/// the population cap to cores * kMaxFlowsPerWorld (steering keeps the
+/// canonical global identity).
 driver::Run run_fleet_core(const FleetSpec& spec, const BurstCostTable& costs,
                            const std::vector<ScheduledBurst>& schedule,
                            const std::vector<std::uint32_t>& flow_core,

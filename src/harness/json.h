@@ -86,8 +86,8 @@ inline Json json_section(const std::string& schema) {
   return Json::object().set("schema", schema);
 }
 
-/// The wire schema string for a manifest section: ("fleet", 2) ->
-/// "l96.fleet.v2".  Validates the pieces (name is non-empty [a-z0-9_],
+/// The wire schema string for a manifest section: ("shard", 2) ->
+/// "l96.shard.v2".  Validates the pieces (name is non-empty [a-z0-9_],
 /// version >= 1) and throws std::invalid_argument on a malformed name —
 /// but does NOT consult the manifest (emit_section does).
 std::string section_schema(const std::string& name, int version);

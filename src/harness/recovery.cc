@@ -31,17 +31,10 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
     }
   }
 
-  net::WorldOptions options;
-  options.tcp_conn_buckets = fleet_detail::conn_bucket_count(spec.connections);
-  net::World world(net::StackKind::kTcpIp, spec.config, spec.config, options);
-  world.server().enable_flow_cache(spec.scheme, spec.cache_capacity,
-                                   spec.cache_costs);
-  if (spec.rules > 0) {
-    world.server().install_scaled_classifier(spec.rules, spec.rule_seed);
-  }
+  const auto world = fleet_detail::make_world(spec, spec.connections);
   // Survival knobs: only touched when set, so a knob-free chaos-free row
   // evolves exactly like the fleet engine.
-  for (net::Host* h : {&world.client(), &world.server()}) {
+  for (net::Host* h : {&world->client(), &world->server()}) {
     if (rspec.keepalive_idle_us != 0) {
       h->set_tcp_keepalive(rspec.keepalive_idle_us, rspec.keepalive_intvl_us,
                            rspec.keepalive_probes);
@@ -63,13 +56,13 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
   plan.flow_core = &flow_core;
   plan.chaos = rspec.chaos;
   plan.pricer.burst = &costs;
-  driver::Run run = driver::drive(driver::pair(world), plan);
+  driver::Run run = driver::drive(driver::pair(*world), plan);
 
   RecoveryResult r;
   r.spec = rspec;
   r.fleet = run.result;
   r.fleet.spec = spec;
-  r.fleet.cache = world.server().flow_cache()->stats();
+  r.fleet.cache = world->server().flow_cache()->stats();
   r.lost_packets = run.lost_packets;
   r.reconnects = run.reconnects;
   r.client_retransmits = run.client_retransmits;
@@ -100,18 +93,18 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
   r.steady = run.phase_latency(false, r.steady_samples);
   r.recovery = run.phase_latency(true, r.recovery_samples);
 
-  r.connect_failures = world.client().tcp()->connect_failures();
-  r.keepalive_probes_sent = world.client().tcp()->keepalive_probes_sent();
-  r.keepalive_reaps = world.client().tcp()->keepalive_reaps();
+  r.connect_failures = world->client().tcp()->connect_failures();
+  r.keepalive_probes_sent = world->client().tcp()->keepalive_probes_sent();
+  r.keepalive_reaps = world->client().tcp()->keepalive_reaps();
   // Server-side counters reset with each incarnation; rst_sent from the
   // current incarnation covers the post-reboot convergence storm.
-  r.rst_sent = world.server().tcp()->rst_sent();
-  r.blackout_drops = world.wire().blackout_drops();
+  r.rst_sent = world->server().tcp()->rst_sent();
+  r.blackout_drops = world->wire().blackout_drops();
   r.frames_to_dead =
-      world.server().frames_to_dead() + world.client().frames_to_dead();
+      world->server().frames_to_dead() + world->client().frames_to_dead();
   r.purged_events =
-      world.server().purged_events() + world.client().purged_events();
-  r.server_incarnation = world.server().incarnation();
+      world->server().purged_events() + world->client().purged_events();
+  r.server_incarnation = world->server().incarnation();
   return r;
 }
 

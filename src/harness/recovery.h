@@ -4,11 +4,12 @@
 // A recovery row is a fleet row plus a ChaosTimeline and the TCP survival
 // knobs (keepalive, bounded SYN retries), run in the packet driver's paced
 // mode (harness/driver.h).  With an empty timeline and the knobs off its
-// samples are byte-identical to run_fleet (bench_recovery_latency
-// cross-checks).  The report splits latency into steady vs recovery
-// phases: a window's recovery phase runs from its start until the first
-// completed delivery at or after its end (which also defines its
-// time-to-recover), and every failed send or repair is a phase of its own.
+// samples are byte-identical to the 1-core shard row of the same fleet
+// spec (bench_recovery_latency cross-checks).  The report splits latency
+// into steady vs recovery phases: a window's recovery phase runs from its
+// start until the first completed delivery at or after its end (which
+// also defines its time-to-recover), and every failed send or repair is a
+// phase of its own.
 //
 // Determinism contract: fixed spec => byte-identical samples, digests, and
 // window reports, for any harness::run worker count.
@@ -54,8 +55,8 @@ struct RecoveryWindow {
 struct RecoveryResult {
   RecoverySpec spec;
   /// The fleet-engine view: sampled packet counts, cache stats, overall
-  /// latency, sample digest (byte-identical to run_fleet when the timeline
-  /// is empty and the knobs are off).
+  /// latency, sample digest (byte-identical to the 1-core shard row when
+  /// the timeline is empty and the knobs are off).
   FleetResult fleet;
   std::vector<RecoveryWindow> windows;
 

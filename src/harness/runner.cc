@@ -97,13 +97,6 @@ void emit(Outcome& o, Json section, const RunnerSpec& common) {
   o.out_path = write_out(common, o.section);
 }
 
-Outcome run(const FleetRunSpec& spec) {
-  return run_rows(
-      spec, &Outcome::fleet,
-      [&](const FleetSpec& row) { return run_fleet(row, spec.costs); },
-      [&](const auto& rows) { return fleet_json(spec.costs, rows); });
-}
-
 Outcome run(const RecoveryRunSpec& spec) {
   return run_rows(
       spec, &Outcome::recovery,

@@ -2,8 +2,8 @@
 // pool.
 //
 // Every run is described by a *RunSpec struct — a shared RunnerSpec
-// (label, seed, workers, batch, machine params, output path: defined
-// once, here) plus the family's rows — and executed by an overload of
+// (label, workers, output path: defined once, here) plus the family's
+// rows — and executed by an overload of
 //
 //     Outcome run(const <Family>RunSpec& spec);
 //
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/fleet.h"
 #include "harness/json.h"
 #include "harness/lb.h"
 #include "harness/recovery.h"
@@ -44,75 +43,33 @@ unsigned resolve_workers(unsigned requested);
 std::size_t run_indexed_jobs(std::size_t n, unsigned threads,
                              const std::function<void(std::size_t)>& fn);
 
-/// Fields every run shares, defined once.  seed / batch / params are the
-/// row-construction defaults (the row_defaults() helpers stamp them onto
-/// new rows); run() itself consumes label, workers, and out_path.
+/// Fields every run shares, defined once.  run() reads workers and
+/// out_path; label only names the run for its caller.
 struct RunnerSpec {
   std::string label;
-  std::uint64_t seed = 1;
   unsigned workers = 0;  ///< 0 = hardware concurrency, floored at 2
-  std::size_t batch = 1;
-  MachineParams params = MachineParams::defaults();
   /// When non-empty, run() writes the emitted section there (directories
   /// are created) and records the path in Outcome::out_path.
   std::string out_path;
 };
 
-struct FleetRunSpec {
-  RunnerSpec common;
-  std::vector<FleetSpec> rows;
-  BurstCostTable costs;
-
-  /// A fresh row stamped with the shared defaults.
-  FleetSpec row_defaults() const {
-    FleetSpec s;
-    s.seed = common.seed;
-    s.batch = common.batch;
-    s.params = common.params;
-    return s;
-  }
-};
-
+/// Fleet rows of any core count; a single-machine row is `cores = 1`.
 struct ShardRunSpec {
   RunnerSpec common;
   std::vector<ShardSpec> rows;
   BurstCostTable costs;
-
-  ShardSpec row_defaults() const {
-    ShardSpec s;
-    s.fleet.seed = common.seed;
-    s.fleet.batch = common.batch;
-    s.fleet.params = common.params;
-    return s;
-  }
 };
 
 struct RecoveryRunSpec {
   RunnerSpec common;
   std::vector<RecoverySpec> rows;
   BurstCostTable costs;
-
-  RecoverySpec row_defaults() const {
-    RecoverySpec s;
-    s.fleet.seed = common.seed;
-    s.fleet.batch = common.batch;
-    s.fleet.params = common.params;
-    return s;
-  }
 };
 
 struct LbRunSpec {
   RunnerSpec common;
   std::vector<LbSpec> rows;
   LbCostTable costs;
-
-  LbSpec row_defaults() const {
-    LbSpec s;
-    s.seed = common.seed;
-    s.batch = common.batch;
-    s.params = common.params;
-    return s;
-  }
 };
 
 struct SoakRunSpec {
@@ -145,7 +102,6 @@ struct Outcome {
   std::size_t workers_used = 0;
   std::string out_path;        ///< where the section was written ("" = not)
 
-  std::vector<FleetResult> fleet;
   std::vector<ShardResult> shard;
   std::vector<RecoveryResult> recovery;
   std::vector<LbResult> lb;
@@ -153,7 +109,6 @@ struct Outcome {
   std::vector<ThroughputResult> stream;
 };
 
-Outcome run(const FleetRunSpec& spec);
 /// Flattens the grid to (row, core) jobs, so one wide row spreads over the
 /// whole pool (harness/shard.cc).
 Outcome run(const ShardRunSpec& spec);
@@ -171,7 +126,7 @@ SoakReport run_soak(const SoakSpec& spec);
 
 /// Schema-versioned sections for the two families that predate them
 /// (`l96.soak.v1`, `l96.stream.v1`); the other families keep their
-/// existing emitters (fleet_json / shard_json / recovery_json).
+/// existing emitters (shard_json / recovery_json / lb_json).
 Json soak_json(const std::vector<SoakSpec>& specs,
                const std::vector<SoakReport>& reports);
 Json stream_json(const std::vector<StreamRowSpec>& specs,

@@ -1,8 +1,8 @@
 // The checked-in manifest of every schema-versioned JSON section the
 // harness and benches emit.
 //
-// A section name is the middle of the wire schema string: ("fleet", 2)
-// names `l96.fleet.v2`.  emit_section() refuses to build a section that is
+// A section name is the middle of the wire schema string: ("shard", 2)
+// names `l96.shard.v2`.  emit_section() refuses to build a section that is
 // not listed here, so adding a new surface (or bumping a version) is an
 // explicit, reviewable edit to this file — and the regression test in
 // tests/test_sections.cc cross-checks that every emitter produces exactly
@@ -14,21 +14,20 @@
 namespace l96::harness {
 
 struct SectionInfo {
-  std::string_view name;      ///< schema middle: "fleet" -> l96.fleet.vN
+  std::string_view name;      ///< schema middle: "shard" -> l96.shard.vN
   int version;                ///< schema suffix: 2 -> .v2
   std::string_view producer;  ///< the emitter that owns this section
 };
 
 /// Every l96.*.vN section in the repo, one row per (name, version).
 inline constexpr SectionInfo kSectionManifest[] = {
-    {"sweep", 1, "harness::write_sweep_metrics"},
-    {"fleet", 2, "harness::fleet_json"},
+    {"sweep", 1, "harness::write_sweep_json"},
     {"classifier", 1, "bench_classifier_scale"},
     {"missmap", 1, "harness::missmap_json"},
     {"recovery", 1, "harness::recovery_json"},
     {"burst", 1, "bench_burst_amortization"},
     {"fault", 2, "bench_fault_latency"},
-    {"shard", 1, "harness::shard_json"},
+    {"shard", 2, "harness::shard_json"},
     {"lb", 1, "harness::lb_json"},
     {"soak", 1, "harness::run(SoakRunSpec)"},
     {"stream", 1, "harness::run(StreamRunSpec)"},

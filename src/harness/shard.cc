@@ -1,6 +1,7 @@
 #include "harness/shard.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "harness/driver.h"
@@ -51,8 +52,8 @@ std::uint32_t hash_core(const FleetSpec& fleet, const code::FlowKeySpec& key,
 
 /// Walk the global schedule and splice the per-core tagged streams back
 /// into the fleet-wide sample order, running the open-loop queue model as
-/// samples are consumed.  With one core the merged order IS the flat
-/// engine's append order, which carries the digest pin.
+/// samples are consumed.  With one core the merged order is the core's
+/// own append order.
 ShardResult merge_cores(const ShardSpec& spec,
                         const std::vector<ScheduledBurst>& schedule,
                         const std::vector<std::uint32_t>& flow_core,
@@ -111,24 +112,16 @@ ShardResult merge_cores(const ShardSpec& spec,
   bool cores_conserved = true;
   for (std::size_t c = 0; c < ncores; ++c) {
     const FleetResult& fr = per_core[c].result;
-    const auto add_counts = [&fr](auto& into) {
-      into.packets_sampled += fr.packets_sampled;
-      into.scheduled_sampled += fr.scheduled_sampled;
-      into.handshake_sampled += fr.handshake_sampled;
-      into.dropped_in_churn += fr.dropped_in_churn;
-      into.bursts += fr.bursts;
-      into.slow_packets += fr.slow_packets;
-      into.churns += fr.churns;
-      into.cache += fr.cache;
-    };
     ShardCoreStats& cs = r.cores[c];
     cs.core = static_cast<std::uint32_t>(c);
-    add_counts(cs);
-    add_counts(r);
+    cs += fr;
+    r += fr;
     cs.service = fr.latency;
     cs.sojourn = percentiles(core_sojourn[c]);
     cs.busy_us = service_sum[c];
+    cs.sim_us = fr.sim_us;
     cs.sample_digest = fr.sample_digest;
+    r.sim_us = std::max(r.sim_us, fr.sim_us);
     cores_conserved = cores_conserved &&
                       cur[c] == per_core[c].samples.size() &&
                       fr.scheduled_sampled + fr.handshake_sampled ==
@@ -232,9 +225,11 @@ Outcome run(const ShardRunSpec& spec) {
   for (std::size_t i = 0; i < spec.rows.size(); ++i) {
     const ShardSpec& row = spec.rows[i];
     driver::check_costs("run_sharded_fleet", row.fleet, spec.costs);
-    if (row.cores == 0 || row.arrival_us < 0) {
+    if (row.cores == 0 || !std::isfinite(row.arrival_us) ||
+        row.arrival_us < 0) {
       throw std::invalid_argument(
-          "run_sharded_fleet: cores must be >= 1 and arrival_us >= 0");
+          "run_sharded_fleet: cores must be >= 1 and arrival_us finite and "
+          ">= 0");
     }
     RowPlan& p = plans[i];
     p.schedule = fleet_detail::build_schedule(row.fleet);
@@ -273,47 +268,53 @@ ShardResult run_sharded_fleet(const ShardSpec& spec,
 
 Json shard_json(const BurstCostTable& costs,
                 const std::vector<ShardResult>& rows) {
-  Json section = emit_section("shard", 1);
+  // The counter block a row and each of its cores share.
+  const auto counts = [](Json& j, const FleetCounts& c) -> Json& {
+    return j.set("packets_sampled", c.packets_sampled)
+        .set("scheduled_sampled", c.scheduled_sampled)
+        .set("handshake_sampled", c.handshake_sampled)
+        .set("dropped_in_churn", c.dropped_in_churn)
+        .set("bursts", c.bursts)
+        .set("slow_packets", c.slow_packets)
+        .set("churns", c.churns)
+        .set("cache", cache_json(c.cache, CacheFields::kFull));
+  };
+  Json section = emit_section("shard", 2);
   section.set("costs", costs_json(costs));
   Json out_rows = Json::array();
   for (const ShardResult& r : rows) {
     const FleetSpec& s = r.spec.fleet;
     Json per_core = Json::array();
     for (const ShardCoreStats& c : r.cores) {
-      per_core.push_back(
-          Json::object()
-              .set("core", static_cast<std::uint64_t>(c.core))
-              .set("flows", static_cast<std::uint64_t>(c.flows))
-              .set("packets_sampled", c.packets_sampled)
-              .set("scheduled_sampled", c.scheduled_sampled)
-              .set("handshake_sampled", c.handshake_sampled)
-              .set("dropped_in_churn", c.dropped_in_churn)
-              .set("bursts", c.bursts)
-              .set("slow_packets", c.slow_packets)
-              .set("churns", c.churns)
-              .set("cache", cache_json(c.cache, CacheFields::kShard))
-              .set("service_us", percentiles_json(c.service))
-              .set("sojourn_us", percentiles_json(c.sojourn))
-              .set("busy_us", c.busy_us)
-              .set("utilization", c.utilization)
-              .set("max_wait_us", c.max_wait_us)
-              .set("sample_digest", c.sample_digest));
+      Json core = Json::object()
+                      .set("core", static_cast<std::uint64_t>(c.core))
+                      .set("flows", static_cast<std::uint64_t>(c.flows));
+      counts(core, c)
+          .set("service_us", percentiles_json(c.service))
+          .set("sojourn_us", percentiles_json(c.sojourn))
+          .set("busy_us", c.busy_us)
+          .set("utilization", c.utilization)
+          .set("max_wait_us", c.max_wait_us)
+          .set("sim_us", c.sim_us)
+          .set("sample_digest", c.sample_digest);
+      per_core.push_back(std::move(core));
     }
     Json row = fleet_row_json(s, /*with_kind=*/true);
-    row.set("churn_every", s.churn_every)
+    row.set("rules", static_cast<std::uint64_t>(s.rules))
+        .set("rule_seed", s.rule_seed)
+        .set("cache_costs", Json::object()
+                                .set("measured", s.cache_costs.measured)
+                                .set("hit_us", s.cache_costs.hit_us)
+                                .set("probe_us", s.cache_costs.probe_us)
+                                .set("per_rule_us", s.cache_costs.per_rule_us))
+        .set("churn_every", s.churn_every)
         .set("cores", static_cast<std::uint64_t>(r.spec.cores))
         .set("steering", to_string(r.spec.steering))
-        .set("arrival_us", r.spec.arrival_us)
-        .set("packets_sampled", r.packets_sampled)
-        .set("scheduled_sampled", r.scheduled_sampled)
-        .set("handshake_sampled", r.handshake_sampled)
-        .set("dropped_in_churn", r.dropped_in_churn)
-        .set("bursts", r.bursts)
-        .set("slow_packets", r.slow_packets)
-        .set("churns", r.churns)
-        .set("cache", cache_json(r.cache, CacheFields::kShard))
+        .set("arrival_us", r.spec.arrival_us);
+    counts(row, r)
         .set("latency_us", percentiles_json(r.latency))
         .set("sojourn_us", percentiles_json(r.sojourn))
+        .set("sim_us", r.sim_us)
         .set("sample_digest", r.sample_digest)
         .set("makespan_us", r.makespan_us)
         .set("throughput_mpps", r.throughput_mpps)

@@ -1,19 +1,21 @@
-// Sharded fleet rows: RSS-style flow steering over per-core machine models.
+// Shard rows: every fleet row, run with RSS-style flow steering over
+// per-core machine models.
 //
 // A shard row is a fleet row (harness/fleet.h) executed across N simulated
-// cores, each a private machine: its own net::World (memory arena, caches,
-// demux map, connections) and code::FlowCache, sharing the burst cost
-// table.  Flows are steered the way a receive-side-scaling NIC steers them
-// — a hash of the flow's canonical wire identity (code::FlowKeySpec over
-// the classifier's key fields) — or least-loaded for comparison.  A flow
-// lives on one core, so burst coalescing never crosses a shard boundary.
+// cores (`cores = 1` is the single-machine row), each a private machine:
+// its own net::World (memory arena, caches, demux map, connections) and
+// code::FlowCache, sharing the burst cost table.  Flows are steered the
+// way a receive-side-scaling NIC steers them — a hash of the flow's
+// canonical wire identity (code::FlowKeySpec over the classifier's key
+// fields) — or least-loaded for comparison.  A flow lives on one core, so
+// burst coalescing never crosses a shard boundary.
 //
 // Every core walks the ONE global burst schedule, executing the bursts it
 // owns and tagging each sample with its global (burst, phase) key; a
 // serial merge rebuilds the fleet-wide stream in schedule order.  Fixed
 // spec => byte-identical per-core streams, merged stream and digests for
-// any harness::run worker count, and cores == 1 reproduces run_fleet
-// byte-for-byte (tests and bench_fleet_scaling exit-enforce the pin).
+// any harness::run worker count (tests/test_engine_pins.cc pins 1- and
+// 4-core rows as literals).
 //
 // On top of the merged stream sits an optional open-loop queueing view:
 // with arrival_us > 0, scheduled packet g arrives at g * arrival_us and
@@ -62,43 +64,29 @@ struct ShardSpec {
 };
 
 /// What one core contributed, in the merged row's terms.
-struct ShardCoreStats {
+struct ShardCoreStats : FleetCounts {
   std::uint32_t core = 0;
   std::size_t flows = 0;  ///< flows steered here (drawn or not)
-  std::uint64_t packets_sampled = 0;
-  std::uint64_t scheduled_sampled = 0;
-  std::uint64_t handshake_sampled = 0;
-  std::uint64_t dropped_in_churn = 0;
-  std::uint64_t bursts = 0;
-  std::uint64_t slow_packets = 0;
-  std::uint64_t churns = 0;
-  code::FlowCacheStats cache;
   LatencyPercentiles service;  ///< priced per-packet cost on this core
   LatencyPercentiles sojourn;  ///< queueing included (== service when
                                ///< arrival_us == 0)
   double busy_us = 0;          ///< total service time executed here
   double utilization = 0;      ///< busy_us / merged makespan
   double max_wait_us = 0;      ///< worst queueing delay (arrival model)
+  double sim_us = 0;           ///< virtual time this core's world consumed
   std::uint64_t sample_digest = 0;  ///< FNV-1a over this core's stream
 };
 
-struct ShardResult {
+/// The merged fleet-wide view (global schedule order); the counters are
+/// the per-core sums.
+struct ShardResult : FleetCounts {
   ShardSpec spec;
   std::vector<ShardCoreStats> cores;  ///< indexed by core id
-
-  // Merged fleet-wide view (global schedule order).
-  std::uint64_t packets_sampled = 0;
-  std::uint64_t scheduled_sampled = 0;
-  std::uint64_t handshake_sampled = 0;
-  std::uint64_t dropped_in_churn = 0;
-  std::uint64_t bursts = 0;
-  std::uint64_t slow_packets = 0;
-  std::uint64_t churns = 0;
-  code::FlowCacheStats cache;   ///< summed across cores
   LatencyPercentiles latency;   ///< merged service distribution
   LatencyPercentiles sojourn;   ///< merged sojourn distribution
-  /// FNV-1a over the merged sample stream; with cores == 1 this is
-  /// byte-identical to run_fleet's sample_digest (the pin).
+  double sim_us = 0;            ///< the largest per-core sim_us
+  /// FNV-1a over the merged sample stream; with cores == 1 it equals the
+  /// core's own digest.
   std::uint64_t sample_digest = 0;
   /// Completion time of the busiest core under the arrival model (with
   /// arrival_us == 0: the largest per-core service sum — the batch
@@ -121,13 +109,16 @@ std::vector<std::uint32_t> steer_flows(const FleetSpec& fleet,
 
 /// Run one shard row on one worker; harness::run (harness/runner.h)
 /// spreads a grid's (row, core) jobs over its pool.  Throws
-/// std::invalid_argument on a malformed spec (cores == 0, cost-table
-/// mismatch, a core's population overflowing its port space).
+/// std::invalid_argument on a malformed spec (cores == 0, an arrival_us
+/// that is negative or not finite, cost-table mismatch, a core's
+/// population overflowing its port space).
 ShardResult run_sharded_fleet(const ShardSpec& spec,
                               const BurstCostTable& costs);
 
-/// Schema-versioned section (`l96.shard.v1`) with the shared costs, merged
-/// rows, and per-core breakdowns.
+/// Schema-versioned section (`l96.shard.v2`) with the shared costs, merged
+/// rows, and per-core breakdowns.  A row echoes the fleet spec (rules,
+/// rule_seed and cache_costs included); the row and every core carry the
+/// full counter block (unmatched_scans included) and sim_us.
 Json shard_json(const BurstCostTable& costs,
                 const std::vector<ShardResult>& rows);
 

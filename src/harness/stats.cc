@@ -70,15 +70,14 @@ Json cache_json(const code::FlowCacheStats& c, CacheFields fields) {
                .set("hits", c.hits)
                .set("misses", c.misses)
                .set("stale_hits", c.stale_hits);
-  if (fields != CacheFields::kShort) {
-    j.set("unkeyed", c.unkeyed);
-    if (fields == CacheFields::kFleet) {
-      j.set("unmatched_scans", c.unmatched_scans);
-    }
-    j.set("rules_examined", c.rules_examined);
+  const bool full = fields == CacheFields::kFull;
+  if (full) {
+    j.set("unkeyed", c.unkeyed)
+        .set("unmatched_scans", c.unmatched_scans)
+        .set("rules_examined", c.rules_examined);
   }
   j.set("hit_ratio", c.hit_ratio());
-  if (fields != CacheFields::kShort) j.set("stale_ratio", c.stale_ratio());
+  if (full) j.set("stale_ratio", c.stale_ratio());
   return j.set("cost_us", c.cost_us);
 }
 

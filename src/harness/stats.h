@@ -1,5 +1,5 @@
-// Sample statistics shared by every packet-driving row (fleet, shard,
-// recovery, LB): latency percentiles, the per-row sample digest, and the
+// Sample statistics shared by every packet-driving row (shard, recovery,
+// LB): latency percentiles, the per-row sample digest, and the
 // JSON blocks the row emitters share.
 #pragma once
 
@@ -34,9 +34,9 @@ Json costs_json(const BurstCostTable& costs);
 Json fleet_row_json(const FleetSpec& s, bool with_kind);
 
 /// Flow-cache counters per section: recovery and LB rows print the short
-/// form, shard rows add unkeyed / rules_examined / stale_ratio, fleet rows
-/// also unmatched_scans.
-enum class CacheFields { kShort, kShard, kFleet };
+/// form; shard rows print every field (unkeyed, unmatched_scans,
+/// rules_examined, stale_ratio too).
+enum class CacheFields { kShort, kFull };
 Json cache_json(const code::FlowCacheStats& c, CacheFields fields);
 
 /// FNV-1a seed of every sample digest and of machine_params_key.  It is

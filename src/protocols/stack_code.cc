@@ -16,6 +16,11 @@
 #include <cassert>
 
 #include "protocols/codegen.h"
+#include "protocols/eth.h"
+#include "protocols/ip.h"
+#include "protocols/rpc/bid.h"
+#include "protocols/rpc/blast.h"
+#include "protocols/rpc/chan.h"
 
 namespace l96::proto {
 
@@ -815,20 +820,35 @@ code::PathSpec lb_forward_path(const code::CodeRegistry& reg) {
 // Flow-key specs (code/flow_cache.h)
 // ---------------------------------------------------------------------------
 
+namespace {
+// TCP/IP frame: ETH | IP (no options) | TCP.
+constexpr std::size_t kIpSrcAddrOffset = 12;  // within the IP header
+constexpr std::size_t kTcpAt = kEthHeaderBytes + kIpHeaderBytes;
+constexpr std::size_t kIpSrcAt = kEthHeaderBytes + kIpSrcAddrOffset;
+constexpr std::size_t kTcpSrcPortAt = kTcpAt;
+constexpr std::size_t kTcpDstPortAt = kTcpAt + 2;
+static_assert(kIpSrcAt == 26 && kTcpSrcPortAt == 34 && kTcpDstPortAt == 36,
+              "published TCP/IP flow-key offsets");
+
+// Single-fragment RPC frame: ETH | BLAST | BID | CHAN | MSELECT.  The CHAN
+// channel id is its header's first two bytes; the MSELECT procedure id
+// opens the header after CHAN's.
+constexpr std::size_t kChanAt =
+    kEthHeaderBytes + Blast::kHeaderBytes + Bid::kHeaderBytes;
+constexpr std::size_t kMselectAt = kChanAt + Chan::kHeaderBytes;
+static_assert(kChanAt == 34 && kMselectAt == 42,
+              "published RPC flow-key offsets");
+}  // namespace
+
 code::FlowKeySpec tcpip_flow_key_spec() {
-  // ETH header is 14 bytes, the IP header 20 (no options): source IP at
-  // 14+12, TCP ports right after the IP header at 14+20.
-  return {{{.offset = 26, .size = 4},    // IP source address
-           {.offset = 34, .size = 2},    // TCP source port
-           {.offset = 36, .size = 2}}};  // TCP destination port
+  return {{{.offset = kIpSrcAt, .size = 4},         // IP source address
+           {.offset = kTcpSrcPortAt, .size = 2},    // TCP source port
+           {.offset = kTcpDstPortAt, .size = 2}}};  // TCP destination port
 }
 
 code::FlowKeySpec rpc_flow_key_spec() {
-  // Single-fragment frame: ETH 14 + BLAST 16 + BID 4 = 34, CHAN channel at
-  // its header's first two bytes; MSELECT procedure follows CHAN's 8-byte
-  // header at 42.
-  return {{{.offset = 34, .size = 2},    // CHAN channel id
-           {.offset = 42, .size = 2}}};  // MSELECT procedure id
+  return {{{.offset = kChanAt, .size = 2},       // CHAN channel id
+           {.offset = kMselectAt, .size = 2}}};  // MSELECT procedure id
 }
 
 }  // namespace l96::proto

@@ -1,9 +1,10 @@
 // Absolute pins on the packet driver (harness/driver.h): one small row per
 // topology x pacing, with the sample digest and packet counters written
-// down as literals.  The relative tests (recovery == fleet, 1 core ==
-// flat, worker-count invariance) cannot catch a change that moves every
-// engine the same way; these can.  A deliberate behaviour change must
-// update the literal and say why.
+// down as literals.  The relative tests (chaos-free recovery == the 1-core
+// shard row, worker-count invariance) cannot catch a change that moves
+// every engine the same way; these can.  The two 1-core shard rows pin the
+// single-machine engine.  A deliberate behaviour change must update the
+// literal and say why.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -63,11 +64,6 @@ FleetSpec tcp_row() {
   return s;
 }
 
-Pin pin_of(const harness::FleetResult& r) {
-  return {r.sample_digest, r.packets_sampled, r.scheduled_sampled,
-          r.handshake_sampled, 0, 0};
-}
-
 Pin pin_of(const harness::ShardResult& r) {
   return {r.sample_digest, r.packets_sampled, r.scheduled_sampled,
           r.handshake_sampled, 0, 0};
@@ -87,7 +83,8 @@ Pin pin_of(const harness::LbResult& r) {
 TEST(EnginePins, FlatTcpWithChurnAndBatch16) {
   const FleetSpec s = tcp_row();
   expect_pin({0x88146cbe7d1ba209ULL, 270, 256, 14, 0, 0},
-             pin_of(harness::run_fleet(s, table(s.kind, 16))));
+             pin_of(harness::run_sharded_fleet({.fleet = s},
+                                               table(s.kind, 16))));
 }
 
 TEST(EnginePins, RpcWith256Rules) {
@@ -103,7 +100,8 @@ TEST(EnginePins, RpcWith256Rules) {
   s.rules = 256;
   s.rule_seed = 3;
   expect_pin({0x0fa91a9d07eca04fULL, 128, 128, 0, 0, 0},
-             pin_of(harness::run_fleet(s, table(s.kind, 1))));
+             pin_of(harness::run_sharded_fleet({.fleet = s},
+                                               table(s.kind, 1))));
 }
 
 harness::ShardSpec shard_row(harness::SteeringPolicy steering) {

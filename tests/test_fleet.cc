@@ -1,15 +1,16 @@
-// Tests for the multi-connection fleet engine (harness/fleet.h):
-// determinism across runs / worker counts / seeds, the stale-hit
-// slow-path fallback, the Zipf schedule, burst scheduling with the
-// position-indexed cost table, MachineParams keying, and the packet-
-// conservation counters.
+// Tests for the multi-connection fleet engine (harness/fleet.h), run as
+// 1-core shard rows: determinism across runs / worker counts / seeds, the
+// stale-hit slow-path fallback, the Zipf schedule, burst scheduling with
+// the position-indexed cost table, MachineParams keying, the packet-
+// conservation counters, and the l96.shard.v2 row fields.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "harness/fleet.h"
 #include "harness/runner.h"
 #include "harness/sweep.h"
 
@@ -18,6 +19,7 @@ namespace {
 
 using harness::BurstCostTable;
 using harness::FleetSpec;
+using harness::ShardResult;
 using harness::ZipfSampler;
 
 // Fleet pricing needs one trace capture + a handful of machine replays;
@@ -49,14 +51,19 @@ FleetSpec small_spec() {
   return spec;
 }
 
-// A grid of rows on `workers` pool threads (harness::run).
-std::vector<harness::FleetResult> run_grid(const std::vector<FleetSpec>& rows,
-                                           unsigned workers) {
-  harness::FleetRunSpec rs;
+// One single-machine row: a 1-core shard row.
+ShardResult run_row(const FleetSpec& spec, const BurstCostTable& costs) {
+  return harness::run_sharded_fleet({.fleet = spec}, costs);
+}
+
+// A grid of 1-core rows on `workers` pool threads (harness::run).
+std::vector<ShardResult> run_grid(const std::vector<FleetSpec>& rows,
+                                  unsigned workers) {
+  harness::ShardRunSpec rs;
   rs.common.workers = workers;
-  rs.rows = rows;
+  for (const FleetSpec& row : rows) rs.rows.push_back({.fleet = row});
   rs.costs = tcp_table();
-  return harness::run(rs).fleet;
+  return harness::run(rs).shard;
 }
 
 TEST(ZipfSamplerTest, DeterministicAndSkewed) {
@@ -80,6 +87,17 @@ TEST(ZipfSamplerTest, DeterministicAndSkewed) {
   EXPECT_GT(hot_skewed, 400u);   // ~29% analytically
   EXPECT_LT(hot_uniform, 200u);  // ~6.25% analytically
   EXPECT_THROW(ZipfSampler(0, 1.0, 1), std::invalid_argument);
+}
+
+TEST(ZipfSamplerTest, RejectsNonFiniteExponent) {
+  // Every row's schedule draws through this sampler, so a NaN or infinite
+  // zipf_s must fail up front rather than produce a garbage schedule.
+  EXPECT_THROW(ZipfSampler(8, std::nan(""), 1), std::invalid_argument);
+  EXPECT_THROW(ZipfSampler(8, std::numeric_limits<double>::infinity(), 1),
+               std::invalid_argument);
+  FleetSpec spec = small_spec();
+  spec.zipf_s = std::nan("");
+  EXPECT_THROW(run_row(spec, tcp_table()), std::invalid_argument);
 }
 
 TEST(ZipfSamplerTest, SingleFlowAlwaysDrawsZero) {
@@ -194,7 +212,7 @@ TEST(FleetTest, DeterministicAcrossRunsAndWorkerCounts) {
   reseeded.scheme = code::FlowCacheScheme::kOneBehind;
   reseeded.zipf_s = 1.2;
   reseeded.seed = 6;
-  EXPECT_NE(harness::run_fleet(reseeded, tcp_table()).sample_digest,
+  EXPECT_NE(run_row(reseeded, tcp_table()).sample_digest,
             r1[1].sample_digest);
 }
 
@@ -204,8 +222,8 @@ TEST(FleetTest, BatchOneIsByteIdenticalUnderAnyTableDepth) {
   // table must produce byte-identical sample streams — the pre-refactor
   // engine's numbers survive the burst refactor exactly.
   const FleetSpec spec = small_spec();  // batch defaults to 1, with churn
-  const auto deep = harness::run_fleet(spec, tcp_table());
-  const auto flat = harness::run_fleet(spec, tcp_table_one());
+  const auto deep = run_row(spec, tcp_table());
+  const auto flat = run_row(spec, tcp_table_one());
   EXPECT_EQ(deep.sample_digest, flat.sample_digest);
   EXPECT_EQ(deep.packets_sampled, flat.packets_sampled);
   EXPECT_EQ(deep.slow_packets, flat.slow_packets);
@@ -219,8 +237,8 @@ TEST(FleetTest, BurstSchedulingAmortizesLatency) {
   FleetSpec burst = one;
   burst.batch = 16;
 
-  const auto r1 = harness::run_fleet(one, tcp_table());
-  const auto r16 = harness::run_fleet(burst, tcp_table());
+  const auto r1 = run_row(one, tcp_table());
+  const auto r16 = run_row(burst, tcp_table());
 
   // Same packet count — the burst positions amortize the processing cost,
   // so the mean must drop strictly.
@@ -230,16 +248,16 @@ TEST(FleetTest, BurstSchedulingAmortizesLatency) {
   // full first-packet processing cost.
   EXPECT_GE(r16.latency.max, tcp_table().controller_us +
                                  tcp_table().fast_us.front());
-  EXPECT_EQ(r1.bursts, r1.spec.packets);
-  EXPECT_EQ(r16.bursts, r16.spec.packets / 16);
+  EXPECT_EQ(r1.bursts, r1.spec.fleet.packets);
+  EXPECT_EQ(r16.bursts, r16.spec.fleet.packets / 16);
 }
 
 TEST(FleetTest, ConservationCountersAddUp) {
   for (std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
     FleetSpec spec = small_spec();  // churn_every = 10 over 32 packets
     spec.batch = batch;
-    const auto r = harness::run_fleet(spec, tcp_table());
-    EXPECT_EQ(r.spec.packets, r.scheduled_sampled + r.dropped_in_churn)
+    const auto r = run_row(spec, tcp_table());
+    EXPECT_EQ(r.spec.fleet.packets, r.scheduled_sampled + r.dropped_in_churn)
         << "batch " << batch;
     EXPECT_EQ(r.packets_sampled, r.scheduled_sampled + r.handshake_sampled)
         << "batch " << batch;
@@ -255,9 +273,9 @@ TEST(FleetTest, RejectsMismatchedMachineParams) {
   // a cost table measured under the defaults.
   FleetSpec spec = small_spec();
   spec.params.mem.dcache_bytes *= 2;
-  EXPECT_THROW(harness::run_fleet(spec, tcp_table()), std::invalid_argument);
+  EXPECT_THROW(run_row(spec, tcp_table()), std::invalid_argument);
   try {
-    harness::run_fleet(spec, tcp_table());
+    run_row(spec, tcp_table());
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("MachineParams"), std::string::npos)
@@ -270,8 +288,7 @@ TEST(FleetTest, RejectsMismatchedMachineParams) {
   // A mismatched stack config is equally rejected.
   FleetSpec other_cfg = small_spec();
   other_cfg.config = code::StackConfig::Pin();
-  EXPECT_THROW(harness::run_fleet(other_cfg, tcp_table()),
-               std::invalid_argument);
+  EXPECT_THROW(run_row(other_cfg, tcp_table()), std::invalid_argument);
 }
 
 TEST(FleetTest, ParamsKeyCoversEveryField) {
@@ -296,7 +313,7 @@ TEST(FleetTest, ParamsKeyCoversEveryField) {
 TEST(FleetTest, ChurnProducesStaleHitsThatFallBackSlow) {
   const BurstCostTable& costs = tcp_table();
   const FleetSpec spec = small_spec();  // churn_every = 10 over 32 packets
-  const auto r = harness::run_fleet(spec, costs);
+  const auto r = run_row(spec, costs);
 
   EXPECT_GE(r.churns, 2u);
   EXPECT_GE(r.cache.stale_hits, r.churns)
@@ -312,7 +329,7 @@ TEST(FleetTest, ChurnProducesStaleHitsThatFallBackSlow) {
   // Without churn, no connection ever unbinds: zero stale traffic.
   FleetSpec quiet = small_spec();
   quiet.churn_every = 0;
-  const auto q = harness::run_fleet(quiet, costs);
+  const auto q = run_row(quiet, costs);
   EXPECT_EQ(q.cache.stale_hits, 0u);
   EXPECT_EQ(q.slow_packets, 0u);
   EXPECT_EQ(q.churns, 0u);
@@ -335,7 +352,7 @@ TEST(FleetTest, RpcFleetRunsAndCaches) {
   spec.seed = 9;
   spec.scheme = code::FlowCacheScheme::kLru;
   spec.cache_capacity = 4;
-  const auto r = harness::run_fleet(spec, costs);
+  const auto r = run_row(spec, costs);
   EXPECT_EQ(r.packets_sampled, spec.packets);
   EXPECT_EQ(r.scheduled_sampled, spec.packets);
   EXPECT_EQ(r.bursts, spec.packets / spec.batch);
@@ -347,13 +364,13 @@ TEST(FleetTest, RpcFleetRunsAndCaches) {
 TEST(FleetTest, RejectsNonInlinedConfigAndEmptySchedules) {
   FleetSpec spec = small_spec();
   spec.config = code::StackConfig::Std();  // no path_inlining
-  EXPECT_THROW(harness::run_fleet(spec, tcp_table()), std::invalid_argument);
+  EXPECT_THROW(run_row(spec, tcp_table()), std::invalid_argument);
   spec = small_spec();
   spec.packets = 0;
-  EXPECT_THROW(harness::run_fleet(spec, tcp_table()), std::invalid_argument);
+  EXPECT_THROW(run_row(spec, tcp_table()), std::invalid_argument);
   spec = small_spec();
   spec.connections = 0;
-  EXPECT_THROW(harness::run_fleet(spec, tcp_table()), std::invalid_argument);
+  EXPECT_THROW(run_row(spec, tcp_table()), std::invalid_argument);
 }
 
 TEST(FleetTest, ScaledRuleSetRowRunsAndStaysDeterministic) {
@@ -376,7 +393,7 @@ TEST(FleetTest, ScaledRuleSetRowRunsAndStaysDeterministic) {
   // Every fleet frame matches the real fast path and carries a full key:
   // no scan may end unmatched at any rule-table scale.
   EXPECT_EQ(r1[0].cache.unmatched_scans, 0u);
-  EXPECT_EQ(r1[0].spec.rules, 128u);
+  EXPECT_EQ(r1[0].spec.fleet.rules, 128u);
 
   // The 129-path set activates the tuple engine, and fleet traffic never
   // lands in a decoy bucket — so every miss scan verifies exactly the
@@ -398,7 +415,7 @@ TEST(FleetTest, RejectsFlatClassifierOverheadKnob) {
   FleetSpec spec = small_spec();
   spec.params.classifier_overhead_us = 1.0;
   try {
-    harness::run_fleet(spec, tcp_table());
+    run_row(spec, tcp_table());
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("classifier_overhead_us"),
@@ -408,13 +425,19 @@ TEST(FleetTest, RejectsFlatClassifierOverheadKnob) {
 }
 
 TEST(FleetTest, FleetJsonSectionIsSchemaVersioned) {
-  const auto r = harness::run_fleet(small_spec(), tcp_table());
-  const harness::Json section = harness::fleet_json(tcp_table(), {r});
-  ASSERT_TRUE(section.is_object());
+  // A fleet row's section is l96.shard.v2: the v1 shard row plus the
+  // fields the retired flat section carried (rules, rule_seed,
+  // cache_costs, unmatched_scans, sim_us).
+  FleetSpec spec = small_spec();
+  spec.rules = 64;
+  spec.rule_seed = 3;
+  spec.cache_costs.measured = true;
+  const ShardResult r = run_row(spec, tcp_table());
+  const harness::Json section = harness::shard_json(tcp_table(), {r});
   const auto* schema = section.find("schema");
   ASSERT_NE(schema, nullptr);
   ASSERT_NE(schema->as_string(), nullptr);
-  EXPECT_EQ(*schema->as_string(), "l96.fleet.v2");
+  EXPECT_EQ(*schema->as_string(), "l96.shard.v2");
   const auto* costs = section.find("costs");
   ASSERT_NE(costs, nullptr);
   const auto* fast = costs->find("fast_us");
@@ -422,10 +445,46 @@ TEST(FleetTest, FleetJsonSectionIsSchemaVersioned) {
   EXPECT_EQ(fast->size(), tcp_table().positions());
   const auto* rows = section.find("rows");
   ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->size(), 1u);
   EXPECT_EQ(rows->size(), 1u);
+  const std::string dump = section.dump();
+  EXPECT_NE(dump.find("\"rules\":64"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\"rule_seed\":3"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\"cache_costs\":{\"measured\":true"),
+            std::string::npos)
+      << dump;
+  const auto count = [&dump](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto at = dump.find(needle); at != std::string::npos;
+         at = dump.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  // The row and its core carry the full counter block and sim_us.
+  EXPECT_EQ(count("\"unmatched_scans\":0"), 2u) << dump;
+  EXPECT_EQ(count("\"sim_us\":"), 2u) << dump;
+  ASSERT_EQ(r.cores.size(), 1u);
+  EXPECT_GT(r.sim_us, 0.0);
+  EXPECT_DOUBLE_EQ(r.sim_us, r.cores[0].sim_us);
   // Attachable to a sweep row (validates the section contract).
   harness::SweepOutcome outcome;
   EXPECT_NO_THROW(outcome.extra_json("fleet", section));
+
+  // On four cores the row's sim_us is the busiest core's: the last core
+  // under hash steering, the first under least-loaded.
+  for (auto steering : {harness::SteeringPolicy::kFlowHash,
+                        harness::SteeringPolicy::kLeastLoaded}) {
+    harness::ShardSpec wide{
+        .fleet = small_spec(), .cores = 4, .steering = steering};
+    wide.fleet.connections = 16;
+    const ShardResult four = harness::run_sharded_fleet(wide, tcp_table());
+    ASSERT_EQ(four.cores.size(), 4u);
+    double max_core = 0;
+    for (const auto& c : four.cores) max_core = std::max(max_core, c.sim_us);
+    EXPECT_GT(max_core, 0.0);
+    EXPECT_DOUBLE_EQ(four.sim_us, max_core);
+  }
 }
 
 }  // namespace

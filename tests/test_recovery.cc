@@ -1,5 +1,5 @@
 // Tests for the recovery harness (harness/recovery.h): chaos-free byte-
-// identity with the fleet engine, determinism across runs and worker
+// identity with the 1-core fleet row, determinism across runs and worker
 // counts, dark windows + finite time-to-recover under blackout and
 // crash/reboot scripts, and the input validation guards.
 #include <gtest/gtest.h>
@@ -56,8 +56,8 @@ TEST(RecoveryTest, ChaosFreeRunIsByteIdenticalToFleetEngine) {
   wide.fleet.packets = 200;
   wide.fleet.churn_every = 50;
   for (const RecoverySpec& spec : {small, wide}) {
-    const harness::FleetResult fleet =
-        harness::run_fleet(spec.fleet, tcp_table());
+    const harness::ShardResult fleet =
+        harness::run_sharded_fleet({.fleet = spec.fleet}, tcp_table());
     const RecoveryResult rec = harness::run_recovery(spec, tcp_table());
     EXPECT_EQ(rec.fleet.sample_digest, fleet.sample_digest);
     EXPECT_EQ(rec.fleet.packets_sampled, fleet.packets_sampled);

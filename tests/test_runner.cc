@@ -15,10 +15,10 @@ namespace l96 {
 namespace {
 
 using harness::BurstCostTable;
-using harness::FleetRunSpec;
 using harness::FleetSpec;
 using harness::Outcome;
 using harness::RecoveryRunSpec;
+using harness::ShardRunSpec;
 using harness::SoakRunSpec;
 using harness::SoakSpec;
 using harness::StreamRunSpec;
@@ -70,28 +70,30 @@ TEST(ResolveWorkersTest, ZeroPicksHardwareFlooredAtTwo) {
 }
 
 TEST(RunnerTest, OutcomeCarriesTheFamilySection) {
-  FleetRunSpec fs;
+  ShardRunSpec fs;
   fs.common.workers = 2;
-  fs.rows = {fleet_spec(3), fleet_spec(4)};
+  fs.rows = {{.fleet = fleet_spec(3)}, {.fleet = fleet_spec(4)}};
   fs.costs = tcp_table();
   const Outcome fleet = harness::run(fs);
-  ASSERT_EQ(fleet.fleet.size(), 2u);
-  EXPECT_EQ(fleet.schema, "l96.fleet.v2");
+  ASSERT_EQ(fleet.shard.size(), 2u);
+  EXPECT_EQ(fleet.schema, "l96.shard.v2");
   EXPECT_TRUE(fleet.ok);
   EXPECT_EQ(fleet.section.dump(),
-            harness::fleet_json(tcp_table(), fleet.fleet).dump());
+            harness::shard_json(tcp_table(), fleet.shard).dump());
 
   RecoveryRunSpec rs;
-  rs.rows = {rs.row_defaults()};
+  rs.rows.resize(1);
   rs.rows[0].fleet = fleet_spec(5);
   rs.rows[0].fleet.churn_every = 0;
   rs.costs = tcp_table();
   const Outcome rec = harness::run(rs);
   ASSERT_EQ(rec.recovery.size(), 1u);
   EXPECT_EQ(rec.schema, "l96.recovery.v1");
-  // Chaos-free recovery must still match the flat fleet engine.
+  // Chaos-free recovery must still match the 1-core fleet row.
   EXPECT_EQ(rec.recovery[0].fleet.sample_digest,
-            harness::run_fleet(rs.rows[0].fleet, tcp_table()).sample_digest);
+            harness::run_sharded_fleet({.fleet = rs.rows[0].fleet},
+                                       tcp_table())
+                .sample_digest);
 
   SoakSpec soak;
   soak.roundtrips = 200;
@@ -124,10 +126,10 @@ TEST(RunnerTest, StreamRunMeasuresThroughput) {
 
 TEST(RunnerTest, OutPathWritesSection) {
   const std::string path = "bench/out/test_runner_section.json";
-  FleetRunSpec rs;
+  ShardRunSpec rs;
   rs.common.workers = 1;
   rs.common.out_path = path;
-  rs.rows = {fleet_spec(11)};
+  rs.rows = {{.fleet = fleet_spec(11)}};
   rs.costs = tcp_table();
   const Outcome o = harness::run(rs);
   EXPECT_EQ(o.out_path, path);
@@ -137,23 +139,6 @@ TEST(RunnerTest, OutPathWritesSection) {
   ss << f.rdbuf();
   EXPECT_EQ(ss.str(), o.section.dump() + "\n");
   std::remove(path.c_str());
-}
-
-TEST(RunnerTest, RowDefaultsStampCommonFields) {
-  FleetRunSpec rs;
-  rs.common.seed = 77;
-  rs.common.batch = 9;
-  const FleetSpec row = rs.row_defaults();
-  EXPECT_EQ(row.seed, 77u);
-  EXPECT_EQ(row.batch, 9u);
-
-  harness::ShardRunSpec ss;
-  ss.common.seed = 78;
-  EXPECT_EQ(ss.row_defaults().fleet.seed, 78u);
-
-  RecoveryRunSpec cs;
-  cs.common.seed = 79;
-  EXPECT_EQ(cs.row_defaults().fleet.seed, 79u);
 }
 
 }  // namespace

@@ -40,7 +40,10 @@ TEST(SectionManifestTest, FindSectionMatchesManifest) {
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(found->producer, s.producer);
   }
-  EXPECT_EQ(find_section("fleet", 99), nullptr);
+  EXPECT_EQ(find_section("shard", 99), nullptr);
+  // The retired flat fleet section is gone: its rows are shard.v2 rows.
+  EXPECT_EQ(find_section("fleet", 2), nullptr);
+  EXPECT_EQ(find_section("shard", 1), nullptr);
   EXPECT_EQ(find_section("nonexistent", 1), nullptr);
 }
 
@@ -53,8 +56,8 @@ TEST(SectionManifestTest, LbFailoverSectionIsRegistered) {
 }
 
 TEST(SectionSchemaTest, FormatsAndValidates) {
-  EXPECT_EQ(section_schema("fleet", 2), "l96.fleet.v2");
-  EXPECT_EQ(section_schema("shard", 1), "l96.shard.v1");
+  EXPECT_EQ(section_schema("shard", 2), "l96.shard.v2");
+  EXPECT_EQ(section_schema("lb", 1), "l96.lb.v1");
   EXPECT_THROW(section_schema("", 1), std::invalid_argument);
   EXPECT_THROW(section_schema("Fleet", 1), std::invalid_argument);
   EXPECT_THROW(section_schema("fle et", 1), std::invalid_argument);
@@ -65,28 +68,29 @@ TEST(EmitSectionTest, SchemaFieldComesFirstAndBodyKeysFollow) {
   Json body = Json::object();
   body.set("rows", Json::array());
   body.set("count", std::uint64_t{3});
-  const Json section = emit_section("shard", 1, std::move(body));
+  const Json section = emit_section("shard", 2, std::move(body));
   const std::string dump = section.dump();
-  EXPECT_EQ(dump.rfind("{\"schema\":\"l96.shard.v1\"", 0), 0u)
+  EXPECT_EQ(dump.rfind("{\"schema\":\"l96.shard.v2\"", 0), 0u)
       << "schema must be the first key: " << dump;
   EXPECT_NE(dump.find("\"rows\":[]"), std::string::npos);
   EXPECT_NE(dump.find("\"count\":3"), std::string::npos);
 }
 
 TEST(EmitSectionTest, RefusesUnlistedSections) {
-  EXPECT_THROW(emit_section("fleet", 99), std::invalid_argument);
+  EXPECT_THROW(emit_section("shard", 99), std::invalid_argument);
+  EXPECT_THROW(emit_section("fleet", 2), std::invalid_argument);
   EXPECT_THROW(emit_section("made_up", 1), std::invalid_argument);
 }
 
 TEST(EmitSectionTest, RefusesNonObjectBody) {
-  EXPECT_THROW(emit_section("fleet", 2, Json("a string")),
+  EXPECT_THROW(emit_section("shard", 2, Json("a string")),
                std::invalid_argument);
-  EXPECT_THROW(emit_section("fleet", 2, Json(3.0)), std::invalid_argument);
+  EXPECT_THROW(emit_section("shard", 2, Json(3.0)), std::invalid_argument);
 }
 
 TEST(EmitSectionTest, NullBodyYieldsBareSchemaObject) {
-  const Json section = emit_section("fleet", 2, Json());
-  EXPECT_EQ(section.dump(), "{\"schema\":\"l96.fleet.v2\"}");
+  const Json section = emit_section("shard", 2, Json());
+  EXPECT_EQ(section.dump(), "{\"schema\":\"l96.shard.v2\"}");
 }
 
 // Every manifest row must be emittable: this is the review hook — if a

@@ -27,12 +27,11 @@
 // `--cores N` shards the fleet across N simulated cores (RSS flow
 // steering, per-core machine models — see harness/shard.h); --steering
 // picks the flow->core policy and --arrival-us enables the open-loop
-// queueing view.  The default (--cores 1) runs the flat single-machine
-// engine and its output is unchanged.  --json emits the row's
-// schema-versioned section (l96.fleet.v2 flat, l96.shard.v1 sharded) to
+// queueing view.  The default (--cores 1) is the single-machine row.
+// --json emits the row's schema-versioned section (l96.shard.v2) to
 // stdout instead of text; --out also writes it to FILE.
-// Exit status is 0 on success, 1 on a failed shard invariant, 2 on usage
-// errors.
+// Exit status is 0 on success, 1 on a rejected row (e.g. a non-finite
+// --arrival-us or zipf_s) or a failed shard invariant, 2 on usage errors.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -46,7 +45,8 @@
 int main(int argc, char** argv) {
   using namespace l96;
 
-  harness::FleetSpec spec;
+  harness::ShardSpec shard;
+  harness::FleetSpec& spec = shard.fleet;
   spec.kind = net::StackKind::kTcpIp;
   spec.config = code::StackConfig::All();
   spec.scheme = code::FlowCacheScheme::kLru;
@@ -58,8 +58,6 @@ int main(int argc, char** argv) {
   spec.cache_capacity = 8;
   spec.churn_every = 0;
 
-  harness::ShardSpec shard;
-  shard.cores = 1;
   std::string steering = "hash";
 
   harness::ArgParser parser(
@@ -180,65 +178,6 @@ int main(int argc, char** argv) {
                  m.costs.probe_us, m.costs.per_rule_us);
   }
 
-  if (shard.cores == 1 && shard.arrival_us == 0) {
-    harness::FleetRunSpec rs;
-    rs.common.workers = common.workers;
-    rs.common.out_path = common.out;
-    rs.rows = {spec};
-    rs.costs = costs;
-    harness::Outcome o;
-    try {
-      o = harness::run(rs);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "fleet: %s\n", e.what());
-      return 1;
-    }
-    const harness::FleetResult& r = o.fleet.front();
-    if (common.json) {
-      o.section.dump(std::cout);
-      std::cout << "\n";
-      return 0;
-    }
-
-    std::printf(
-        "%s conns=%zu packets=%llu batch=%zu zipf=%.2f seed=%llu cap=%zu "
-        "churn=%llu\n",
-        spec.label.c_str(), spec.connections,
-        static_cast<unsigned long long>(spec.packets), spec.batch, spec.zipf_s,
-        static_cast<unsigned long long>(spec.seed), spec.cache_capacity,
-        static_cast<unsigned long long>(spec.churn_every));
-    std::printf(
-        "  sampled=%llu (scheduled=%llu handshake=%llu dropped=%llu) "
-        "bursts=%llu\n",
-        static_cast<unsigned long long>(r.packets_sampled),
-        static_cast<unsigned long long>(r.scheduled_sampled),
-        static_cast<unsigned long long>(r.handshake_sampled),
-        static_cast<unsigned long long>(r.dropped_in_churn),
-        static_cast<unsigned long long>(r.bursts));
-    std::printf(
-        "  hit=%.4f stale=%.4f slow=%llu churns=%llu lookup_cost=%.2fus\n",
-        r.cache.hit_ratio(), r.cache.stale_ratio(),
-        static_cast<unsigned long long>(r.slow_packets),
-        static_cast<unsigned long long>(r.churns), r.cache.cost_us);
-    std::printf(
-        "  latency_us p50=%.2f p90=%.2f p99=%.2f p999=%.2f mean=%.2f "
-        "max=%.2f\n",
-        r.latency.p50, r.latency.p90, r.latency.p99, r.latency.p999,
-        r.latency.mean, r.latency.max);
-    std::printf("  costs controller=%.1fus fast[0]=%.3fus slow[0]=%.3fus\n",
-                costs.controller_us, costs.fast_us.front(),
-                costs.slow_us.front());
-    for (std::size_t p = 1; p < costs.positions(); ++p) {
-      std::printf("        fast[%zu]=%.3fus slow[%zu]=%.3fus\n", p,
-                  costs.fast_us[p], p, costs.slow_us[p]);
-    }
-    std::printf("  digest=%016llx\n",
-                static_cast<unsigned long long>(r.sample_digest));
-    return 0;
-  }
-
-  // Sharded path.
-  shard.fleet = spec;
   harness::ShardRunSpec rs;
   rs.common.workers = common.workers;
   rs.common.out_path = common.out;
@@ -276,6 +215,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(r.bursts), r.cache.hit_ratio(),
       static_cast<unsigned long long>(r.slow_packets),
       static_cast<unsigned long long>(r.churns));
+  std::printf("  stale=%.4f lookup_cost=%.2fus  service_us p90=%.2f "
+              "max=%.2f\n",
+              r.cache.stale_ratio(), r.cache.cost_us, r.latency.p90,
+              r.latency.max);
   std::printf(
       "  service_us p50=%.2f p99=%.2f p999=%.2f mean=%.2f  "
       "sojourn_us p50=%.2f p99=%.2f p999=%.2f\n",
@@ -284,6 +227,13 @@ int main(int argc, char** argv) {
   std::printf(
       "  makespan=%.1fus throughput=%.4fMpps hot_core=%u conserved=%d\n",
       r.makespan_us, r.throughput_mpps, r.hot_core, r.conserved ? 1 : 0);
+  std::printf("  costs controller=%.1fus fast[0]=%.3fus slow[0]=%.3fus\n",
+              costs.controller_us, costs.fast_us.front(),
+              costs.slow_us.front());
+  for (std::size_t p = 1; p < costs.positions(); ++p) {
+    std::printf("        fast[%zu]=%.3fus slow[%zu]=%.3fus\n", p,
+                costs.fast_us[p], p, costs.slow_us[p]);
+  }
   for (const harness::ShardCoreStats& c : r.cores) {
     std::printf(
         "  core %u: flows=%zu sampled=%llu util=%.3f service_p999=%.2f "
