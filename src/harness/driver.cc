@@ -14,7 +14,7 @@ namespace {
 using fleet_detail::kFleetClientPortBase;
 using fleet_detail::kFleetRpcProcBase;
 using fleet_detail::kFleetServerPort;
-using fleet_detail::ScheduledBurst;
+using fleet_detail::CoreStep;
 
 /// Connections are opened in waves this big: a wave's handshakes complete
 /// before the next wave's SYNs are offered, so a large fleet never queues
@@ -49,12 +49,10 @@ class Driver final : public proto::TcpUpper {
         ev_(*topo.events),
         tcp_(topo.kind == net::StackKind::kTcpIp),
         paced_(!plan.chaos.empty()),
-        pricer_(plan.pricer) {
+        pricer_(plan.pricer),
+        owned_(plan.work->flows) {
     sink_.events = &ev_;
     if (paced_) sink_.times = &run_.delivery_times;
-    for (std::size_t i = 0; i < plan.flow_core->size(); ++i) {
-      if ((*plan.flow_core)[i] == plan.core) owned_.push_back(i);
-    }
     payload_.fill(0x5A);
   }
   // Hooks and connections hold `this`.
@@ -140,7 +138,7 @@ class Driver final : public proto::TcpUpper {
   Sink sink_;
   std::uint64_t established_ = 0;
   BurstPricer pricer_;
-  std::vector<std::size_t> owned_;
+  const std::vector<std::size_t>& owned_;  ///< local flow -> global flow
   std::vector<proto::TcpConn*> conns_;
   std::array<std::uint8_t, 32> payload_{};
   std::uint64_t sent_ = 0;  ///< this core's scheduled sends
@@ -284,7 +282,7 @@ Run Driver::run() {
   }
   const std::uint64_t pace_span_us = last_end_us + last_end_us / 4;
 
-  run_.samples.reserve(p_.packets / (p_.core + 1) + 16);
+  run_.samples.reserve(p_.work->packets + 16);
   t_.price_from_here([this](const code::FlowLookupResult& lr, bool slow) {
     resolve_attribution();
     run_.samples.push_back(
@@ -295,29 +293,23 @@ Run Driver::run() {
     if (slow) ++run_.result.slow_packets;
   });
 
-  const std::vector<ScheduledBurst>& schedule = *p_.schedule;
-  const bool churn_here = (*p_.flow_core)[0] == p_.core;
-  std::uint64_t scheduled = 0;  // global scheduled packets before burst b
-  for (std::size_t b = 0; b < schedule.size(); ++b) {
-    const ScheduledBurst& sb = schedule[b];
-    current_burst_ = b;
-    if ((*p_.flow_core)[sb.flow] == p_.core) {
+  for (const CoreStep& step : p_.work->steps) {
+    current_burst_ = step.burst;
+    if (step.len > 0) {
       if (pace_span_us != 0) {
         // advance_to, not run_until: the send must happen at the due tick
         // exactly.  run_until only observes time when an event fires, and
         // in an otherwise idle world the next event can be the far edge of
         // a window — overshooting it would skip the disruption entirely.
         const std::uint64_t due =
-            run_.base_us + (scheduled * pace_span_us) / p_.packets;
+            run_.base_us + (step.scheduled * pace_span_us) / p_.packets;
         if (ev_.now() < due) ev_.advance_to(due);
       }
       // The burst is ours, whole: a flow lives on exactly one core.
-      const std::size_t k = static_cast<std::size_t>(
-          std::lower_bound(owned_.begin(), owned_.end(), sb.flow) -
-          owned_.begin());
+      const std::size_t k = step.flow;
       ++r.bursts;
       pricer_.begin_burst();
-      for (std::uint64_t j = 0; j < sb.len; ++j) {
+      for (std::uint64_t j = 0; j < step.len; ++j) {
         if (!alive(k)) ensure_alive(k);
         send(k);
       }
@@ -331,8 +323,7 @@ Run Driver::run() {
           r.scheduled_sampled + r.dropped_in_churn + run_.lost_packets;
       if (priced < sent_) r.dropped_in_churn += sent_ - priced;
     }
-    scheduled += sb.len;
-    if (sb.churn_after && churn_here) churn();
+    if (step.churn_after) churn();
   }
 
   if (paced_) {

@@ -11,11 +11,12 @@
 //    counted, and samples and deliveries are timestamped;
 //  * pricer — BurstPricer over a BurstCostTable or the LB's flat price.
 //
-// Every row walks fleet_detail::build_schedule(), establishes in waves of
-// 256 through an O(1) counter, and attributes priced frames one frame
-// late: a frame is scheduled traffic only if it was priced inside a burst
-// AND its processing completed a delivery, so keepalive probes, stray ACKs
-// and RSTs landing mid-burst stay handshake traffic.  Without chaos every
+// Every row walks its core's steps of fleet_detail::build_schedule() (as
+// split by split_schedule), establishes in waves of 256 through an O(1)
+// counter, and attributes priced frames one frame late: a frame is
+// scheduled traffic only if it was priced inside a burst AND its
+// processing completed a delivery, so keepalive probes, stray ACKs and
+// RSTs landing mid-burst stay handshake traffic.  Without chaos every
 // in-burst frame is a delivery and the rule equals eager attribution.
 // Fixed inputs => byte-identical samples, counters and timestamps.
 #pragma once
@@ -79,11 +80,9 @@ Topology tier(net::LbWorld& world);
 struct Plan {
   /// Names the row in stall errors: "<row>: <what> at scheduled packet N".
   std::string row;
-  const std::vector<fleet_detail::ScheduledBurst>* schedule = nullptr;
+  /// This run's share of the schedule (fleet_detail::split_schedule).
+  const fleet_detail::CoreWork* work = nullptr;
   std::uint64_t packets = 0;  ///< total scheduled packets (pacing)
-  /// Global flow -> owning core; this run executes `core`'s bursts.
-  const std::vector<std::uint32_t>* flow_core = nullptr;
-  std::uint32_t core = 0;
   /// Flows take ports base + local index instead of base + global index.
   bool local_ports = false;
   /// Failure script anchored at schedule time zero; empty = closed loop.

@@ -160,6 +160,37 @@ std::vector<ScheduledBurst> build_schedule(const FleetSpec& spec) {
   return schedule;
 }
 
+std::vector<CoreWork> split_schedule(
+    const std::vector<ScheduledBurst>& schedule,
+    const std::vector<std::uint32_t>& flow_core, std::size_t cores) {
+  if (std::any_of(flow_core.begin(), flow_core.end(),
+                  [cores](std::uint32_t c) { return c >= cores; })) {
+    throw std::invalid_argument("split_schedule: flow steered past the cores");
+  }
+  std::vector<CoreWork> work(cores);
+  std::vector<std::size_t> local(flow_core.size());
+  for (std::size_t i = 0; i < flow_core.size(); ++i) {
+    std::vector<std::size_t>& flows = work[flow_core[i]].flows;
+    local[i] = flows.size();
+    flows.push_back(i);
+  }
+  const std::uint32_t churn_core = flow_core.empty() ? 0 : flow_core[0];
+  std::uint64_t scheduled = 0;
+  for (std::size_t b = 0; b < schedule.size(); ++b) {
+    const ScheduledBurst& sb = schedule[b];
+    const std::uint32_t owner = flow_core[sb.flow];
+    CoreWork& w = work[owner];
+    w.steps.push_back({b, scheduled, sb.len, local[sb.flow],
+                       sb.churn_after && owner == churn_core});
+    w.packets += sb.len;
+    if (sb.churn_after && owner != churn_core) {
+      work[churn_core].steps.push_back({b, scheduled, 0, 0, true});
+    }
+    scheduled += sb.len;
+  }
+  return work;
+}
+
 std::size_t conn_bucket_count(std::size_t flows) {
   std::size_t buckets = 64;
   while (buckets < flows && buckets < (std::size_t{1} << 16)) buckets <<= 1;
@@ -181,15 +212,8 @@ std::unique_ptr<net::World> make_world(const FleetSpec& spec,
 }
 
 driver::Run run_fleet_core(const FleetSpec& spec, const BurstCostTable& costs,
-                           const std::vector<ScheduledBurst>& schedule,
-                           const std::vector<std::uint32_t>& flow_core,
-                           std::uint32_t core_id, bool local_ports) {
-  if (flow_core.size() != spec.connections) {
-    throw std::invalid_argument(
-        "run_fleet_core: flow_core must map every connection");
-  }
-  const auto flows = static_cast<std::size_t>(
-      std::count(flow_core.begin(), flow_core.end(), core_id));
+                           const CoreWork& work, bool local_ports) {
+  const std::size_t flows = work.flows.size();
   driver::Run run;
   run.result.spec = spec;
   run.result.sample_digest = sample_digest({});
@@ -207,10 +231,8 @@ driver::Run run_fleet_core(const FleetSpec& spec, const BurstCostTable& costs,
   plan.row = "fleet run stalled (" +
              (spec.label.empty() ? std::string("unlabeled") : spec.label) +
              ", scheme=" + code::to_string(spec.scheme) + ")";
-  plan.schedule = &schedule;
+  plan.work = &work;
   plan.packets = spec.packets;
-  plan.flow_core = &flow_core;
-  plan.core = core_id;
   plan.local_ports = local_ports;
   plan.pricer.burst = &costs;
   run = driver::drive(driver::pair(*world), plan);

@@ -42,6 +42,31 @@ struct ScheduledBurst {
 /// burst truncated, churn marks against the global sent count.
 std::vector<ScheduledBurst> build_schedule(const FleetSpec& spec);
 
+/// One step of a core's walk over the schedule: a burst the core owns
+/// (`len` > 0), a churn mark it executes as flow 0's core, or both.
+struct CoreStep {
+  std::size_t burst = 0;        ///< index into the global schedule
+  std::uint64_t scheduled = 0;  ///< global scheduled packets before it
+  std::uint64_t len = 0;        ///< packets this core sends; 0 = churn only
+  std::size_t flow = 0;         ///< local flow index (when len > 0)
+  bool churn_after = false;     ///< flow 0 churns after this burst
+};
+
+/// What one core executes of a row.
+struct CoreWork {
+  /// The core's flows in ascending global order: local index -> global.
+  std::vector<std::size_t> flows;
+  std::vector<CoreStep> steps;
+  std::uint64_t packets = 0;  ///< scheduled packets the core sends
+};
+
+/// Split `schedule` by owning core (`flow_core[i]` maps global flow i to
+/// its core) in one pass.  Churn marks go to flow 0's core whichever core
+/// owns the burst they follow.
+std::vector<CoreWork> split_schedule(
+    const std::vector<ScheduledBurst>& schedule,
+    const std::vector<std::uint32_t>& flow_core, std::size_t cores);
+
 /// Demux-map sizing for a core holding `flows` connections: the historical
 /// 64-bucket table up to 64 flows (pre-shard behaviour unchanged), then
 /// the next power of two so chains stay O(1), capped at 2^16 (the port
@@ -54,16 +79,13 @@ std::size_t conn_bucket_count(std::size_t flows);
 std::unique_ptr<net::World> make_world(const FleetSpec& spec,
                                        std::size_t flows);
 
-/// Execute the bursts `core_id` owns (`flow_core[i]` maps global flow i to
-/// its core) on a private World, tagging every sample with its global
-/// (burst, phase) merge key.  Churn marks execute on flow 0's core.  With
+/// Execute one core's share of a row (split_schedule) on a private World,
+/// tagging every sample with its global (burst, phase) merge key.  With
 /// `local_ports` false flow i keeps its global wire identity (client port
 /// base + i); with it true each core numbers its flows locally, lifting
 /// the population cap to cores * kMaxFlowsPerWorld (steering keeps the
 /// canonical global identity).
 driver::Run run_fleet_core(const FleetSpec& spec, const BurstCostTable& costs,
-                           const std::vector<ScheduledBurst>& schedule,
-                           const std::vector<std::uint32_t>& flow_core,
-                           std::uint32_t core_id, bool local_ports);
+                           const CoreWork& work, bool local_ports);
 
 }  // namespace l96::harness::fleet_detail

@@ -102,16 +102,17 @@ LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
   net::LbWorld world(spec.config, spec.config, spec.config, opts);
   world.lb().start_health_checks();
 
-  const std::vector<fleet_detail::ScheduledBurst> schedule =
-      fleet_detail::build_schedule(fleet);
-  const std::vector<std::uint32_t> flow_core(spec.connections, 0);
+  // One core owns every flow.
+  const std::vector<fleet_detail::CoreWork> work =
+      fleet_detail::split_schedule(
+          fleet_detail::build_schedule(fleet),
+          std::vector<std::uint32_t>(spec.connections, 0), 1);
   driver::Plan plan;
   plan.row = "lb run stalled (" +
              (spec.label.empty() ? std::string("unlabeled") : spec.label) +
              ", backends=" + std::to_string(spec.backends) + ")";
-  plan.schedule = &schedule;
+  plan.work = &work.front();
   plan.packets = spec.packets;
-  plan.flow_core = &flow_core;
   plan.chaos = spec.chaos;
   // Health recovery needs probes to observe the healed backend; give the
   // script one recover_threshold's worth of probe intervals of slack.

@@ -44,16 +44,17 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
     }
   }
 
-  const std::vector<fleet_detail::ScheduledBurst> schedule =
-      fleet_detail::build_schedule(spec);
-  const std::vector<std::uint32_t> flow_core(spec.connections, 0);
+  // One core owns every flow.
+  const std::vector<fleet_detail::CoreWork> work =
+      fleet_detail::split_schedule(
+          fleet_detail::build_schedule(spec),
+          std::vector<std::uint32_t>(spec.connections, 0), 1);
   driver::Plan plan;
   plan.row = "recovery run stalled (" +
              (spec.label.empty() ? std::string("unlabeled") : spec.label) +
              ", scheme=" + code::to_string(spec.scheme) + ")";
-  plan.schedule = &schedule;
+  plan.work = &work.front();
   plan.packets = spec.packets;
-  plan.flow_core = &flow_core;
   plan.chaos = rspec.chaos;
   plan.pricer.burst = &costs;
   driver::Run run = driver::drive(driver::pair(*world), plan);

@@ -213,6 +213,7 @@ Outcome run(const ShardRunSpec& spec) {
   struct RowPlan {
     std::vector<ScheduledBurst> schedule;
     std::vector<std::uint32_t> flow_core;
+    std::vector<fleet_detail::CoreWork> work;  ///< per core
     bool local_ports = false;
     std::vector<driver::Run> per_core;
   };
@@ -234,6 +235,7 @@ Outcome run(const ShardRunSpec& spec) {
     RowPlan& p = plans[i];
     p.schedule = fleet_detail::build_schedule(row.fleet);
     p.flow_core = steer_flows(row.fleet, row.cores, row.steering);
+    p.work = fleet_detail::split_schedule(p.schedule, p.flow_core, row.cores);
     p.local_ports = row.fleet.connections > kMaxFlowsPerWorld;
     p.per_core.resize(row.cores);
     for (std::size_t c = 0; c < row.cores; ++c) jobs.push_back({i, c});
@@ -245,8 +247,8 @@ Outcome run(const ShardRunSpec& spec) {
         const Job job = jobs[j];
         RowPlan& p = plans[job.row];
         p.per_core[job.core] = fleet_detail::run_fleet_core(
-            spec.rows[job.row].fleet, spec.costs, p.schedule, p.flow_core,
-            static_cast<std::uint32_t>(job.core), p.local_ports);
+            spec.rows[job.row].fleet, spec.costs, p.work[job.core],
+            p.local_ports);
       });
   for (std::size_t i = 0; i < spec.rows.size(); ++i) {
     o.shard.push_back(merge_cores(spec.rows[i], plans[i].schedule,

@@ -74,7 +74,7 @@ void TcpConn::send(std::span<const std::uint8_t> data) {
   auto& rec = tcp_.ctx_.rec;
   code::TracedCall tc(rec, tcp_.fn_usrsend_);
   rec.block(tcp_.fn_usrsend_, blk::kUsrSendMain);
-  sndbuf_.insert(sndbuf_.end(), data.begin(), data.end());
+  sndbuf_.append(data);
   tcp_.tcb_store(*this, 4);
   tcp_.output(*this, /*force_ack=*/false);
 }
@@ -508,7 +508,7 @@ void Tcp::process_ack(TcpConn& c, const Segment& seg) {
   // Remove acked data bytes (SYN/FIN occupy sequence space but no buffer).
   const std::uint32_t data_acked =
       std::min<std::uint32_t>(acked, static_cast<std::uint32_t>(c.sndbuf_.size()));
-  c.sndbuf_.erase(c.sndbuf_.begin(), c.sndbuf_.begin() + data_acked);
+  c.sndbuf_.consume(data_acked);
   c.backoff_ = 0;
 
   // Congestion window update (Section 2.2.2).  The latency-sensitive
@@ -678,9 +678,7 @@ void Tcp::output(TcpConn& c, bool force_ack) {
       c.state_ == TcpState::kLastAck;
   if (len > 0 && can_send_data) {
     cancel_persist(c);
-    std::vector<std::uint8_t> data(c.sndbuf_.begin() + offset,
-                                   c.sndbuf_.begin() + offset + len);
-    send_segment(c, c.snd_nxt_, kAck | kPsh, data);
+    send_segment(c, c.snd_nxt_, kAck | kPsh, c.sndbuf_.view(offset, len));
     c.snd_nxt_ += len;
     c.ack_pending_ = false;
     arm_rexmt(c);
@@ -808,8 +806,7 @@ void Tcp::persist_timeout(TcpConn* c) {
   rec.block(fn_timer_, blk::kTimerMain);
   rec.block(fn_input_, blk::kInWindowProbe);
   ++c->window_probes_;
-  std::vector<std::uint8_t> probe(c->sndbuf_.begin(), c->sndbuf_.begin() + 1);
-  send_segment(*c, c->snd_nxt_, kAck, probe);
+  send_segment(*c, c->snd_nxt_, kAck, c->sndbuf_.view(0, 1));
   if (c->persist_backoff_ < 10) ++c->persist_backoff_;
   arm_persist(*c);
 }

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -96,6 +95,44 @@ class TcpUpper {
   virtual void tcp_connect_failed(TcpConn&) {}
 };
 
+/// A connection's send buffer: the bytes from snd_una on, unacknowledged
+/// or not yet sent.  Contiguous, so a segment is a span into it; nothing is
+/// allocated before the first send.  Acknowledged bytes advance a head
+/// offset and are moved out (compacted) once they are at least half the
+/// storage, so a bulk transfer copies each byte O(1) times.
+class SendBuffer {
+ public:
+  /// Bytes held (unacknowledged plus unsent).
+  std::size_t size() const noexcept { return bytes_.size() - head_; }
+  /// Acknowledged bytes still at the front of the storage (0 = compacted).
+  std::size_t head() const noexcept { return head_; }
+
+  void append(std::span<const std::uint8_t> data) {
+    bytes_.insert(bytes_.end(), data.begin(), data.end());
+  }
+  /// `len` bytes starting `offset` past the first unacknowledged byte.
+  std::span<const std::uint8_t> view(std::size_t offset,
+                                     std::size_t len) const {
+    return std::span<const std::uint8_t>(bytes_).subspan(head_ + offset, len);
+  }
+  /// Drop the first `n` held bytes (they were acknowledged).
+  void consume(std::size_t n) {
+    head_ += n;
+    if (head_ == bytes_.size()) {
+      bytes_.clear();
+      head_ = 0;
+    } else if (2 * head_ >= bytes_.size()) {
+      bytes_.erase(bytes_.begin(),
+                   bytes_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::size_t head_ = 0;
+};
+
 class TcpConn {
  public:
   /// Enqueue application data and try to transmit.
@@ -116,6 +153,7 @@ class TcpConn {
   std::uint64_t window_updates_sent() const noexcept {
     return window_updates_;
   }
+  const SendBuffer& send_buffer() const noexcept { return sndbuf_; }
 
  private:
   friend class Tcp;
@@ -139,7 +177,7 @@ class TcpConn {
   std::uint32_t cwnd_ = 0;
   std::uint32_t ssthresh_ = 0;
   bool fin_sent_ = false;
-  std::deque<std::uint8_t> sndbuf_;  // bytes [snd_una_, ...)
+  SendBuffer sndbuf_;  // bytes [snd_una_, ...)
 
   // Receive sequence space.
   std::uint32_t irs_ = 0;

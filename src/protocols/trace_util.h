@@ -37,7 +37,9 @@ inline void touch_buffer(code::Recorder& rec, xk::SimAddr base,
 /// call site (its instructions are part of the caller's dispatch block) and
 /// the general map_resolve function is called only on a cache miss.
 /// Without it, every lookup calls the general function, paying the call
-/// overhead and its internal cache probe.
+/// overhead and its internal cache probe.  The addresses a lookup touches
+/// are collected only while the recorder is enabled: nothing reads them
+/// otherwise, and an untraced lookup then allocates nothing.
 template <typename V>
 std::optional<V> traced_map_lookup(xk::ProtoCtx& ctx, xk::Map<V>& map,
                                    const xk::MapKey& key,
@@ -45,9 +47,10 @@ std::optional<V> traced_map_lookup(xk::ProtoCtx& ctx, xk::Map<V>& map,
   auto& rec = ctx.rec;
   const std::uint64_t hits_before = map.stats().cache_hits;
   std::vector<xk::SimAddr> touched;
+  std::vector<xk::SimAddr>* const sink = rec.enabled() ? &touched : nullptr;
 
   if (ctx.config.inline_map_cache_test) {
-    auto v = map.resolve(key, &touched);
+    auto v = map.resolve(key, sink);
     const bool cache_hit = map.stats().cache_hits > hits_before;
     if (cache_hit) {
       if (!touched.empty()) rec.load(touched.front());
@@ -62,7 +65,7 @@ std::optional<V> traced_map_lookup(xk::ProtoCtx& ctx, xk::Map<V>& map,
   }
 
   code::TracedCall t(rec, resolve_fn);
-  auto v = map.resolve(key, &touched);
+  auto v = map.resolve(key, sink);
   const bool cache_hit = map.stats().cache_hits > hits_before;
   rec.block(resolve_fn, blk::kMapCacheProbe);
   if (!cache_hit) {

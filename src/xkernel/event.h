@@ -5,6 +5,15 @@
 // timeouts).  The World advances virtual time and due events fire in
 // timestamp order; handlers may schedule or cancel further events.
 //
+// The queue is a binary min-heap of (fire time, id) over a slab of event
+// slots with a free list, so scheduling allocates nothing once the slab has
+// grown to the peak number of pending events.  An id carries its schedule
+// sequence number in the high 32 bits (the tie-break, so equal fire times
+// fire in schedule order) and its slot in the low 32.  cancel and
+// purge_owner free the slot at once and leave the heap key behind as a
+// tombstone: a key whose id no longer matches its slot's is skipped when it
+// reaches the top.
+//
 // Failure domains: every event carries an owner id (0 = infrastructure,
 // e.g. wire delivery; hosts tag their protocol timers through an
 // EventPort).  A host crash purges its owner's pending events *without
@@ -14,8 +23,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <stdexcept>
+#include <vector>
 
 namespace l96::xk {
 
@@ -29,7 +37,9 @@ class EventManager {
   static constexpr std::uint32_t kInfraOwner = 0;
 
   /// Schedule `fn` to run at absolute virtual time `fire_at_us`, tagged
-  /// with `owner` (the failure domain it dies with).
+  /// with `owner` (the failure domain it dies with).  Throws
+  /// std::overflow_error once 2^32 - 1 events have been scheduled on this
+  /// manager (the id's sequence half is used up).
   EventId schedule_at(std::uint64_t fire_at_us, Handler fn,
                       std::uint32_t owner = kInfraOwner);
   /// Schedule `fn` to run `delay_us` from now.
@@ -65,23 +75,36 @@ class EventManager {
   bool advance_to_next();
 
   std::uint64_t now() const noexcept { return now_; }
-  std::size_t pending() const noexcept { return queue_.size(); }
+  std::size_t pending() const noexcept { return live_; }
 
  private:
   struct QueueKey {
     std::uint64_t when;
-    EventId id;  // tie-break: schedule order
+    EventId id;  // tie-break: schedule order (the sequence is the high half)
     friend auto operator<=>(const QueueKey&, const QueueKey&) = default;
   };
-  struct Entry {
+  struct Slot {
     Handler fn;
+    EventId id = kInvalid;  ///< the pending event's id; kInvalid when free
     std::uint32_t owner = kInfraOwner;
   };
 
+  static std::uint32_t slot_of(EventId id) {
+    return static_cast<std::uint32_t>(id);
+  }
+  /// Pop tombstones off the top; true when a live event is left on top.
+  bool settle();
+  /// Free a live slot (its handler is destroyed or already moved out).
+  void release(std::uint32_t slot);
+  /// Rebuild the heap without tombstones once they dominate it.
+  void drop_tombstones();
+
   std::uint64_t now_ = 0;
-  EventId next_id_ = 1;
-  std::map<QueueKey, Entry> queue_;
-  std::map<EventId, QueueKey> by_id_;
+  std::uint64_t next_seq_ = 1;
+  std::size_t live_ = 0;
+  std::vector<QueueKey> heap_;  ///< min-heap on (when, id), with tombstones
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  ///< free slot indices, reused LIFO
 };
 
 /// A host-owned view of the shared EventManager: every event scheduled

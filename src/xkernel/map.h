@@ -18,9 +18,14 @@
 //    non-empty buckets (plus deferred cleanup), not to the table size.
 //
 // Entries and buckets carry simulated addresses so lookups can be traced
-// into the d-cache model.
+// into the d-cache model.  The host-side entries live in one contiguous
+// pool linked by 32-bit indices, with unbound entries on a free list, so a
+// bind allocates nothing once the pool has grown to the peak population;
+// the simulated addresses still come from the SimAlloc arena one entry at
+// a time, in bind/unbind order.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -62,12 +67,8 @@ class Map {
 
   ~Map() {
     for (auto& b : buckets_) {
-      Entry* e = b.head;
-      while (e != nullptr) {
-        Entry* n = e->next;
-        arena_.free(e->sim, kEntryBytes);
-        delete e;
-        e = n;
+      for (std::uint32_t e = b.head; e != kNil; e = entries_[e].next) {
+        arena_.free(entries_[e].sim, kEntryBytes);
       }
       arena_.free(b.sim, kBucketBytes);
     }
@@ -80,23 +81,14 @@ class Map {
   void bind(const MapKey& key, V value) {
     ++stats_.binds;
     const std::size_t i = index(key);
-    Bucket& b = buckets_[i];
-    for (Entry* e = b.head; e != nullptr; e = e->next) {
-      if (e->key == key) {
-        e->value = std::move(value);
+    for (std::uint32_t e = buckets_[i].head; e != kNil;
+         e = entries_[e].next) {
+      if (entries_[e].key == key) {
+        entries_[e].value = std::move(value);
         return;
       }
     }
-    auto* e = new Entry{key, std::move(value), b.head,
-                        arena_.alloc(kEntryBytes)};
-    const bool was_empty = (b.head == nullptr);
-    b.head = e;
-    ++size_;
-    if (was_empty && !b.on_list) {
-      b.on_list = true;
-      b.next_nonempty = nonempty_head_;
-      nonempty_head_ = static_cast<int>(i);
-    }
+    insert(i, key, std::move(value));
   }
 
   /// Resolve a key.  Simulated addresses touched during the lookup are
@@ -105,21 +97,22 @@ class Map {
   std::optional<V> resolve(const MapKey& key,
                            std::vector<SimAddr>* touched = nullptr) {
     ++stats_.lookups;
-    if (cache_enabled_ && cache_ != nullptr) {
-      if (touched != nullptr) touched->push_back(cache_->sim);
-      if (cache_->key == key) {
+    if (cache_enabled_ && cache_ != kNil) {
+      const Entry& c = entries_[cache_];
+      if (touched != nullptr) touched->push_back(c.sim);
+      if (c.key == key) {
         ++stats_.cache_hits;
-        return cache_->value;
+        return c.value;
       }
     }
-    const std::size_t i = index(key);
-    Bucket& b = buckets_[i];
+    const Bucket& b = buckets_[index(key)];
     if (touched != nullptr) touched->push_back(b.sim);
-    for (Entry* e = b.head; e != nullptr; e = e->next) {
-      if (touched != nullptr) touched->push_back(e->sim);
-      if (e->key == key) {
+    for (std::uint32_t e = b.head; e != kNil; e = entries_[e].next) {
+      const Entry& entry = entries_[e];
+      if (touched != nullptr) touched->push_back(entry.sim);
+      if (entry.key == key) {
         cache_ = e;
-        return e->value;
+        return entry.value;
       }
     }
     return std::nullopt;
@@ -129,19 +122,22 @@ class Map {
   /// list is deliberately NOT updated (lazy removal).
   bool unbind(const MapKey& key) {
     ++stats_.unbinds;
-    Bucket& b = buckets_[index(key)];
-    Entry** link = &b.head;
-    while (*link != nullptr) {
-      Entry* e = *link;
-      if (e->key == key) {
-        *link = e->next;
-        if (cache_ == e) cache_ = nullptr;
-        arena_.free(e->sim, kEntryBytes);
-        delete e;
+    assert(!walking_ && "Map::unbind during for_each");
+    std::uint32_t* link = &buckets_[index(key)].head;
+    while (*link != kNil) {
+      const std::uint32_t e = *link;
+      Entry& entry = entries_[e];
+      if (entry.key == key) {
+        *link = entry.next;
+        if (cache_ == e) cache_ = kNil;
+        arena_.free(entry.sim, kEntryBytes);
+        entry.value = V{};
+        entry.next = free_head_;
+        free_head_ = e;
         --size_;
         return true;
       }
-      link = &e->next;
+      link = &entry.next;
     }
     return false;
   }
@@ -152,19 +148,24 @@ class Map {
   /// hand).
   void for_each(const std::function<void(const MapKey&, V&)>& fn) {
     ++stats_.traversals;
+    walking_ = true;
+    const struct Done {
+      bool& flag;
+      ~Done() { flag = false; }
+    } done{walking_};
     int* link = &nonempty_head_;
     while (*link != -1) {
       ++stats_.buckets_walked;
       Bucket& b = buckets_[static_cast<std::size_t>(*link)];
-      if (b.head == nullptr) {
+      if (b.head == kNil) {
         b.on_list = false;
         *link = b.next_nonempty;
         b.next_nonempty = -1;
         ++stats_.lazy_unlinks;
         continue;
       }
-      for (Entry* e = b.head; e != nullptr; e = e->next) {
-        fn(e->key, e->value);
+      for (std::uint32_t e = b.head; e != kNil; e = entries_[e].next) {
+        fn(entries_[e].key, entries_[e].value);
       }
       link = &b.next_nonempty;
     }
@@ -188,22 +189,56 @@ class Map {
   /// Simulated address of the one-entry cache slot (the inlined cache test
   /// loads this first).
   SimAddr cache_slot_sim() const noexcept {
-    return cache_ != nullptr ? cache_->sim : buckets_.front().sim;
+    return cache_ != kNil ? entries_[cache_].sim : buckets_.front().sim;
   }
 
  private:
+  /// Pool index meaning "no entry" (end of chain, empty cache, empty free
+  /// list).
+  static constexpr std::uint32_t kNil = 0xFFFF'FFFF;
+
   struct Entry {
     MapKey key;
     V value;
-    Entry* next;
+    std::uint32_t next;  ///< chain link, or free-list link once unbound
     SimAddr sim;
   };
   struct Bucket {
-    Entry* head = nullptr;
+    std::uint32_t head = kNil;
     int next_nonempty = -1;
     bool on_list = false;
     SimAddr sim = 0;
   };
+
+  /// Bind a new entry at the head of bucket i's chain.  Out of line on
+  /// purpose: inlined into bind(), the compiler loads the caller's key as
+  /// one 16-byte vector for both paths, which stalls on store forwarding
+  /// when the caller has just written the key (an overwriting bind then
+  /// costs twice as much).
+  [[gnu::noinline]] void insert(std::size_t i, const MapKey& key, V value) {
+    // A new entry may grow the pool, which would invalidate the V& a
+    // traversal is handing out.
+    assert(!walking_ && "Map::bind: new binding during for_each");
+    Bucket& b = buckets_[i];
+    Entry fresh{key, std::move(value), b.head, arena_.alloc(kEntryBytes)};
+    std::uint32_t e = free_head_;
+    if (e != kNil) {
+      free_head_ = entries_[e].next;
+      entries_[e] = std::move(fresh);
+    } else {
+      if (entries_.size() >= kNil) throw std::length_error("map pool full");
+      e = static_cast<std::uint32_t>(entries_.size());
+      entries_.push_back(std::move(fresh));
+    }
+    const bool was_empty = (b.head == kNil);
+    b.head = e;
+    ++size_;
+    if (was_empty && !b.on_list) {
+      b.on_list = true;
+      b.next_nonempty = nonempty_head_;
+      nonempty_head_ = static_cast<int>(i);
+    }
+  }
 
   static constexpr std::uint64_t kEntryBytes = 48;
   static constexpr std::uint64_t kBucketBytes = 16;  // head + list pointer
@@ -220,8 +255,13 @@ class Map {
   bool cache_enabled_;
   std::vector<Bucket> buckets_;
   int nonempty_head_ = -1;
-  Entry* cache_ = nullptr;
+  /// Every entry ever created, live or on the free list; chains link by
+  /// index, so the pool may reallocate as it grows.
+  std::vector<Entry> entries_;
+  std::uint32_t free_head_ = kNil;
+  std::uint32_t cache_ = kNil;
   std::size_t size_ = 0;
+  bool walking_ = false;  ///< inside for_each: bind/unbind must wait
   MapStats stats_;
 };
 

@@ -1,6 +1,8 @@
 // Tests for the event (timer) manager, stack pool and semaphores.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <vector>
 
 #include "xkernel/event.h"
@@ -139,6 +141,184 @@ TEST(Event, PortTagsItsOwner) {
   EXPECT_EQ(em.purge_owner(3), 2u);
   em.advance_to(100);
   EXPECT_EQ(fired, 0);
+}
+
+// --- Differential check against the ordered-map queue ----------------------
+
+/// The queue the heap replaced, kept as the reference: an ordered map keyed
+/// on (fire time, schedule order) plus an id index.
+class MapQueueReference {
+ public:
+  using EventId = std::uint64_t;
+  using Handler = std::function<void()>;
+
+  EventId schedule_at(std::uint64_t t, Handler fn, std::uint32_t owner) {
+    if (t < now_) t = now_;
+    const EventId id = next_id_++;
+    queue_.emplace(Key{t, id}, Entry{std::move(fn), owner});
+    by_id_.emplace(id, Key{t, id});
+    return id;
+  }
+  EventId schedule_in(std::uint64_t d, Handler fn, std::uint32_t owner) {
+    return schedule_at(now_ + d, std::move(fn), owner);
+  }
+  bool cancel(EventId id) {
+    const auto it = by_id_.find(id);
+    if (it == by_id_.end()) return false;
+    queue_.erase(it->second);
+    by_id_.erase(it);
+    return true;
+  }
+  std::size_t purge_owner(std::uint32_t owner) {
+    std::size_t purged = 0;
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      if (it->second.owner == owner) {
+        by_id_.erase(it->first.second);
+        it = queue_.erase(it);
+        ++purged;
+      } else {
+        ++it;
+      }
+    }
+    return purged;
+  }
+  std::size_t pending_for(std::uint32_t owner) const {
+    std::size_t n = 0;
+    for (const auto& [key, e] : queue_) n += e.owner == owner ? 1 : 0;
+    return n;
+  }
+  std::size_t pending() const { return queue_.size(); }
+  void advance_to(std::uint64_t t) {
+    while (!queue_.empty() && queue_.begin()->first.first <= t) {
+      const auto it = queue_.begin();
+      now_ = it->first.first;
+      Handler fn = std::move(it->second.fn);
+      by_id_.erase(it->first.second);
+      queue_.erase(it);
+      fn();
+    }
+    if (t > now_) now_ = t;
+  }
+  bool advance_to_next() {
+    if (queue_.empty()) return false;
+    advance_to(queue_.begin()->first.first);
+    return true;
+  }
+  std::uint64_t now() const { return now_; }
+
+ private:
+  using Key = std::pair<std::uint64_t, EventId>;
+  struct Entry {
+    Handler fn;
+    std::uint32_t owner;
+  };
+  std::uint64_t now_ = 0;
+  EventId next_id_ = 1;
+  std::map<Key, Entry> queue_;
+  std::map<EventId, Key> by_id_;
+};
+
+/// Drive one manager through a seeded script of schedule_at / schedule_in /
+/// cancel / purge_owner / advance_to / advance_to_next, with handlers that
+/// schedule (often at their own tick), cancel and purge while the queue is
+/// firing.  Returns everything an observer sees: each firing (label, time),
+/// every cancel / purge / advance_to_next result, and now(), pending() and
+/// pending_for() of every owner after each step.
+template <typename M>
+std::vector<std::uint64_t> run_event_script(std::uint64_t seed) {
+  constexpr std::uint32_t kOwners = 4;
+  M em;
+  std::vector<std::uint64_t> log;
+  std::vector<typename M::EventId> ids;  // label -> this manager's id
+  std::uint64_t state = seed;
+  const auto rnd = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  const auto any_owner = [&rnd] {
+    return static_cast<std::uint32_t>(rnd() % kOwners);
+  };
+  std::function<void(bool, std::uint64_t)> schedule;
+  const auto fire = [&](std::size_t label) {
+    log.push_back(label);
+    log.push_back(em.now());
+    switch (rnd() % 6) {
+      case 0:
+      case 1:
+        schedule(false, rnd() % 3 == 0 ? 0 : rnd() % 20);
+        break;
+      case 2:
+        log.push_back(em.cancel(ids[rnd() % ids.size()]) ? 1 : 0);
+        break;
+      case 3:
+        log.push_back(em.purge_owner(any_owner()));
+        break;
+      default:
+        break;
+    }
+  };
+  schedule = [&](bool absolute, std::uint64_t t) {
+    const std::size_t label = ids.size();
+    const std::uint32_t owner = any_owner();
+    auto fn = [&fire, label] { fire(label); };
+    ids.push_back(absolute ? em.schedule_at(t, fn, owner)
+                           : em.schedule_in(t, fn, owner));
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    switch (rnd() % 9) {
+      case 0:
+        schedule(false, rnd() % 100);
+        break;
+      case 1:  // absolute, sometimes in the past (clamped to now)
+        schedule(true, (em.now() >= 10 ? em.now() - 10 : 0) + rnd() % 110);
+        break;
+      case 2:
+        if (!ids.empty()) log.push_back(em.cancel(ids[rnd() % ids.size()]));
+        break;
+      case 3:
+        log.push_back(em.purge_owner(any_owner()));
+        break;
+      case 4:
+        em.advance_to(em.now() + rnd() % 30);
+        break;
+      case 5:
+        log.push_back(em.advance_to_next() ? 1 : 0);
+        break;
+      case 6: {  // re-arm storm: timers cancelled before they fire
+        const std::size_t first = ids.size();
+        for (int i = 0; i < 40; ++i) schedule(false, 1000 + rnd() % 1000);
+        for (std::size_t l = first; l + 1 < ids.size(); ++l) {
+          log.push_back(em.cancel(ids[l]) ? 1 : 0);
+        }
+        break;
+      }
+      default:
+        schedule(false, 0);
+        break;
+    }
+    log.push_back(em.now());
+    log.push_back(em.pending());
+    for (std::uint32_t o = 0; o < kOwners; ++o) {
+      log.push_back(em.pending_for(o));
+    }
+  }
+  while (em.advance_to_next()) log.push_back(em.pending());
+  return log;
+}
+
+TEST(Event, MatchesOrderedMapReferenceOnRandomScripts) {
+  for (const std::uint64_t seed : {1ull, 42ull, 977ull, 0xDEADBEEFull}) {
+    const auto got = run_event_script<EventManager>(seed);
+    const auto want = run_event_script<MapQueueReference>(seed);
+    std::size_t i = 0;
+    while (i < got.size() && i < want.size() && got[i] == want[i]) ++i;
+    ASSERT_EQ(i, want.size()) << "seed " << seed << ": first divergence at "
+                              << i << " of " << want.size();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+  }
 }
 
 TEST(StackPool, LifoReuse) {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "xkernel/map.h"
 
@@ -243,6 +245,247 @@ TEST_P(MapFuzz, AgreesWithReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MapFuzz,
                          ::testing::Values(1ull, 42ull, 0xDEADBEEFull,
                                            977ull, 31415926ull));
+
+// --- The entry pool against the linked-list map it replaced ---------------
+
+/// The per-bind-allocated linked-list map the pool replaced, kept as the
+/// reference: same hash, chain order (newest first), one-entry cache, lazy
+/// non-empty list, and SimAlloc traffic.
+class LinkedListMapReference {
+ public:
+  LinkedListMapReference(SimAlloc& arena, std::size_t nbuckets)
+      : arena_(arena), buckets_(nbuckets) {
+    for (auto& b : buckets_) b.sim = arena_.alloc(kBucketBytes);
+  }
+  ~LinkedListMapReference() {
+    for (auto& b : buckets_) {
+      while (b.head != nullptr) {
+        arena_.free(b.head->sim, kEntryBytes);
+        b.head = std::move(b.head->next);
+      }
+      arena_.free(b.sim, kBucketBytes);
+    }
+  }
+
+  void bind(const MapKey& key, int value) {
+    const std::size_t i = index(key);
+    Bucket& b = buckets_[i];
+    for (Entry* e = b.head.get(); e != nullptr; e = e->next.get()) {
+      if (e->key == key) {
+        e->value = value;
+        return;
+      }
+    }
+    auto e = std::make_unique<Entry>(
+        Entry{key, value, std::move(b.head), arena_.alloc(kEntryBytes)});
+    b.head = std::move(e);
+    if (!b.on_list) {
+      b.on_list = true;
+      b.next_nonempty = nonempty_head_;
+      nonempty_head_ = static_cast<int>(i);
+    }
+  }
+  std::optional<int> resolve(const MapKey& key, std::vector<SimAddr>& touched) {
+    if (cache_ != nullptr) {
+      touched.push_back(cache_->sim);
+      if (cache_->key == key) return cache_->value;
+    }
+    const Bucket& b = buckets_[index(key)];
+    touched.push_back(b.sim);
+    for (Entry* e = b.head.get(); e != nullptr; e = e->next.get()) {
+      touched.push_back(e->sim);
+      if (e->key == key) {
+        cache_ = e;
+        return e->value;
+      }
+    }
+    return std::nullopt;
+  }
+  bool unbind(const MapKey& key) {
+    std::unique_ptr<Entry>* link = &buckets_[index(key)].head;
+    while (*link != nullptr) {
+      if ((*link)->key == key) {
+        if (cache_ == link->get()) cache_ = nullptr;
+        arena_.free((*link)->sim, kEntryBytes);
+        *link = std::move((*link)->next);
+        return true;
+      }
+      link = &(*link)->next;
+    }
+    return false;
+  }
+  /// (key, value, sim) of every binding in traversal order.
+  std::vector<std::pair<std::uint64_t, int>> walk() {
+    std::vector<std::pair<std::uint64_t, int>> out;
+    int* link = &nonempty_head_;
+    while (*link != -1) {
+      Bucket& b = buckets_[static_cast<std::size_t>(*link)];
+      if (b.head == nullptr) {
+        b.on_list = false;
+        *link = b.next_nonempty;
+        b.next_nonempty = -1;
+        continue;
+      }
+      for (Entry* e = b.head.get(); e != nullptr; e = e->next.get()) {
+        out.emplace_back(e->key.lo, e->value);
+      }
+      link = &b.next_nonempty;
+    }
+    return out;
+  }
+  SimAddr cache_slot_sim() const {
+    return cache_ != nullptr ? cache_->sim : buckets_.front().sim;
+  }
+
+ private:
+  struct Entry {
+    MapKey key;
+    int value;
+    std::unique_ptr<Entry> next;
+    SimAddr sim;
+  };
+  struct Bucket {
+    std::unique_ptr<Entry> head;
+    int next_nonempty = -1;
+    bool on_list = false;
+    SimAddr sim = 0;
+  };
+  static constexpr std::uint64_t kEntryBytes = 48;
+  static constexpr std::uint64_t kBucketBytes = 16;
+
+  std::size_t index(const MapKey& key) const {
+    std::uint64_t h = key.hi * 0x9E3779B97F4A7C15ULL;
+    h ^= key.lo + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+    h *= 0xBF58476D1CE4E5B9ULL;
+    h ^= h >> 31;
+    return static_cast<std::size_t>(h & (buckets_.size() - 1));
+  }
+
+  SimAlloc& arena_;
+  std::vector<Bucket> buckets_;
+  int nonempty_head_ = -1;
+  Entry* cache_ = nullptr;
+};
+
+class MapPool : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Bind/unbind churn over 8 buckets reuses freed pool slots constantly; the
+// traversal order, every resolve's touched addresses (cache probe, bucket,
+// chain entries) and the one-entry cache must match the linked-list map
+// step for step, and both must leave the same SimAlloc traffic.
+TEST_P(MapPool, MatchesLinkedListReferenceUnderChurn) {
+  SimAlloc arena;
+  SimAlloc ref_arena;
+  Map<int> m(arena, 8);
+  LinkedListMapReference ref(ref_arena, 8);
+  std::uint64_t seed = GetParam();
+  auto rnd = [&]() {
+    seed ^= seed << 13;
+    seed ^= seed >> 7;
+    seed ^= seed << 17;
+    return seed;
+  };
+  for (int step = 0; step < 6000; ++step) {
+    const std::uint64_t id = rnd() % 48;
+    switch (rnd() % 5) {
+      case 0:
+      case 1: {
+        const int value = static_cast<int>(rnd() % 1000);
+        m.bind(k(id), value);
+        ref.bind(k(id), value);
+        break;
+      }
+      case 2:
+        ASSERT_EQ(m.unbind(k(id)), ref.unbind(k(id))) << step;
+        break;
+      case 3: {
+        std::vector<SimAddr> got;
+        std::vector<SimAddr> want;
+        const auto v = m.resolve(k(id), &got);
+        ASSERT_EQ(v, ref.resolve(k(id), want)) << step;
+        ASSERT_EQ(got, want) << step;
+        break;
+      }
+      case 4: {
+        std::vector<std::pair<std::uint64_t, int>> order;
+        m.for_each([&](const MapKey& key, int& value) {
+          order.emplace_back(key.lo, value);
+        });
+        ASSERT_EQ(order, ref.walk()) << step;
+        break;
+      }
+    }
+    ASSERT_EQ(m.cache_slot_sim(), ref.cache_slot_sim()) << step;
+    ASSERT_EQ(arena.live_bytes(), ref_arena.live_bytes()) << step;
+    ASSERT_EQ(arena.high_water(), ref_arena.high_water()) << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MapPool,
+                         ::testing::Values(3ull, 77ull, 0xC0FFEEull));
+
+TEST_F(MapTest, UntracedResolveLeavesSameStatsAndCache) {
+  SimAlloc other;
+  Map<int> traced(arena, 16);
+  Map<int> untraced(other, 16);
+  std::uint64_t seed = 99;
+  auto rnd = [&]() {
+    seed ^= seed << 13;
+    seed ^= seed >> 7;
+    seed ^= seed << 17;
+    return seed;
+  };
+  const auto same = [](const MapStats& a, const MapStats& b) {
+    return a.lookups == b.lookups && a.cache_hits == b.cache_hits &&
+           a.binds == b.binds && a.unbinds == b.unbinds &&
+           a.traversals == b.traversals &&
+           a.buckets_walked == b.buckets_walked &&
+           a.lazy_unlinks == b.lazy_unlinks;
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t id = rnd() % 40;
+    switch (rnd() % 4) {
+      case 0:
+        traced.bind(k(id), static_cast<int>(id));
+        untraced.bind(k(id), static_cast<int>(id));
+        break;
+      case 1:
+        traced.unbind(k(id));
+        untraced.unbind(k(id));
+        break;
+      default: {
+        std::vector<SimAddr> touched;
+        ASSERT_EQ(traced.resolve(k(id), &touched),
+                  untraced.resolve(k(id), nullptr));
+        break;
+      }
+    }
+    ASSERT_TRUE(same(traced.stats(), untraced.stats())) << step;
+    ASSERT_EQ(traced.cache_slot_sim(), untraced.cache_slot_sim()) << step;
+  }
+}
+
+TEST_F(MapTest, DestructorReturnsEverySimAddress) {
+  arena.alloc(64);  // live bytes that are not the map's
+  const std::uint64_t live_before = arena.live_bytes();
+  {
+    Map<int> m(arena, 32);
+    for (std::uint64_t i = 0; i < 200; ++i) m.bind(k(i), 1);
+    for (std::uint64_t i = 0; i < 200; i += 3) m.unbind(k(i));
+    for (std::uint64_t i = 300; i < 340; ++i) m.bind(k(i), 2);  // reuse
+    ASSERT_GT(arena.live_bytes(), live_before);
+  }
+  EXPECT_EQ(arena.live_bytes(), live_before);
+}
+
+TEST_F(MapTest, BindDuringTraversalIsACallerBug) {
+  Map<int> m(arena, 16);
+  m.bind(k(1), 1);
+  // A new binding could grow the entry pool under the V& being visited.
+  EXPECT_DEBUG_DEATH(
+      m.for_each([&](const MapKey&, int&) { m.bind(k(2), 2); }),
+      "new binding during for_each");
+}
 
 }  // namespace
 }  // namespace l96::xk

@@ -4,6 +4,7 @@
 // view, and spec validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -99,6 +100,64 @@ TEST(SteeringTest, LeastLoadedBalancesZipfLoad) {
   // The hot flow alone is ~30% of the schedule under s=1.3, so the
   // least-loaded bound is its core; no core should exceed ~60%.
   EXPECT_LT(max_load, 512u * 6 / 10);
+}
+
+// Each core's step list is its own bursts in schedule order (local flow
+// indices that map back to the drawn flow, the global packet count before
+// each for pacing) plus every churn mark on flow 0's core, wherever the
+// burst before the mark ran.
+TEST(ShardTest, SplitScheduleGivesEachCoreItsBurstsAndChurnCoreEveryMark) {
+  FleetSpec fleet = fleet_spec();
+  fleet.batch = 1;
+  fleet.churn_every = 5;
+  const auto schedule = harness::fleet_detail::build_schedule(fleet);
+  const auto map = harness::steer_flows(fleet, 4, SteeringPolicy::kFlowHash);
+  const auto work = harness::fleet_detail::split_schedule(schedule, map, 4);
+  ASSERT_EQ(work.size(), 4u);
+
+  std::vector<std::uint64_t> before(schedule.size() + 1, 0);
+  for (std::size_t b = 0; b < schedule.size(); ++b) {
+    before[b + 1] = before[b] + schedule[b].len;
+  }
+  std::vector<int> owned(schedule.size(), 0);
+  std::size_t marks = 0;
+  std::size_t foreign_marks = 0;  // marks after another core's burst
+  std::uint64_t packets = 0;
+  for (std::uint32_t c = 0; c < 4; ++c) {
+    const auto& w = work[c];
+    std::uint64_t mine = 0;
+    for (std::size_t i = 0; i < w.steps.size(); ++i) {
+      const auto& step = w.steps[i];
+      if (i > 0) {
+        EXPECT_LT(w.steps[i - 1].burst, step.burst);
+      }
+      EXPECT_EQ(step.scheduled, before[step.burst]);
+      if (step.len > 0) {
+        EXPECT_EQ(w.flows.at(step.flow), schedule[step.burst].flow);
+        EXPECT_EQ(step.len, schedule[step.burst].len);
+        ++owned[step.burst];
+        mine += step.len;
+      } else {
+        EXPECT_TRUE(step.churn_after);  // a churn-only step
+        ++foreign_marks;
+      }
+      if (step.churn_after) {
+        EXPECT_EQ(c, map[0]);
+        EXPECT_TRUE(schedule[step.burst].churn_after);
+        ++marks;
+      }
+    }
+    EXPECT_EQ(w.packets, mine);
+    packets += mine;
+    for (std::size_t f : w.flows) EXPECT_EQ(map[f], c);
+  }
+  EXPECT_EQ(packets, fleet.packets);
+  for (int n : owned) EXPECT_EQ(n, 1);  // every burst on exactly one core
+  const auto want_marks = static_cast<std::size_t>(std::count_if(
+      schedule.begin(), schedule.end(),
+      [](const auto& b) { return b.churn_after; }));
+  EXPECT_EQ(marks, want_marks);
+  EXPECT_GT(foreign_marks, 0u);  // the case a per-burst owner test misses
 }
 
 TEST(ShardTest, DigestsIdenticalAcrossWorkerCountsAndRuns) {

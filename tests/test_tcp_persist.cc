@@ -2,6 +2,9 @@
 // and resumption when the window reopens.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "net/world.h"
 
 namespace l96 {
@@ -11,8 +14,11 @@ class PersistSink final : public proto::TcpUpper {
  public:
   void tcp_receive(proto::TcpConn&, xk::Message& m) override {
     received += m.length();
+    const auto view = m.view();
+    bytes.insert(bytes.end(), view.begin(), view.end());
   }
   std::uint64_t received = 0;
+  std::vector<std::uint8_t> bytes;  ///< every delivered byte, in order
 };
 
 class PersistSource final : public proto::TcpUpper {
@@ -101,6 +107,47 @@ TEST_F(TcpPersist, PersistDoesNotFireOnOpenWindow) {
   world.events().advance_by(5'000'000);
   EXPECT_EQ(conn->window_probes(), 0u);
   EXPECT_EQ(sink.received, 256u);
+}
+
+// The send buffer under everything that moves its edges: several MSS
+// against a 700-byte window (so every ACK is partial), a lost frame and
+// its retransmission, then a zero window and persist probes.  The stream
+// must arrive in order and exactly once, and the buffer must end empty
+// with its acknowledged bytes compacted away.
+TEST_F(TcpPersist, SendBufferSurvivesPartialAcksLossAndProbes) {
+  ASSERT_EQ(conn->state(), proto::TcpState::kEstablished);
+  const std::uint32_t mss = world.client().tcp()->params().mss;
+  std::vector<std::uint8_t> stream(5 * mss + 123);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    stream[i] = static_cast<std::uint8_t>(i % 251);
+  }
+  world.server().tcp()->set_receive_window_override(700);
+  conn->send(std::span<const std::uint8_t>(stream).first(3 * mss));
+  conn->send(std::span<const std::uint8_t>(stream).subspan(3 * mss));
+  EXPECT_EQ(conn->send_buffer().size(), stream.size());
+
+  ASSERT_TRUE(world.run_until([&] { return sink.received >= 2 * mss; },
+                              10'000'000));
+  EXPECT_LT(conn->send_buffer().size(), stream.size());  // partial ACKs
+
+  world.wire().drop_next(1);
+  ASSERT_TRUE(world.run_until([&] { return conn->retransmits() > 0; },
+                              10'000'000));
+
+  world.server().tcp()->set_receive_window_override(0);
+  ASSERT_TRUE(world.run_until([&] { return conn->window_probes() > 0; },
+                              30'000'000));
+  EXPECT_LT(sink.received, stream.size());
+
+  world.server().tcp()->set_receive_window_override(~0u);
+  ASSERT_TRUE(world.run_until(
+      [&] {
+        return sink.received >= stream.size() && conn->bytes_unacked() == 0;
+      },
+      60'000'000));
+  EXPECT_EQ(sink.bytes, stream);
+  EXPECT_EQ(conn->send_buffer().size(), 0u);
+  EXPECT_EQ(conn->send_buffer().head(), 0u);
 }
 
 }  // namespace
