@@ -9,7 +9,7 @@
 // quiet / drain / crash per pool size under the pinned layout.
 //
 // Outputs:
-//  * bench/out/lb_failover.json — l96.lb.v1 rows.  A pure function of the
+//  * bench/out/lb_failover.json — l96.lb.v2 rows.  A pure function of the
 //    seeds: byte-identical across runs and across runner worker counts
 //    (re-verified in-process below).
 //
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
       ++failures;
     }
     if (drain->lost_packets != 0 || drain->reconnects != 0 ||
-        drain->slow_forwards != 0 || drain->track.stale_hits != 0) {
+        drain->slow_forwards != 0 || drain->cache.stale_hits != 0) {
       std::fprintf(stderr,
                    "FAIL: %s drain not hitless (lost=%llu reconn=%llu "
                    "slow=%llu stale=%llu)\n",
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(drain->lost_packets),
                    static_cast<unsigned long long>(drain->reconnects),
                    static_cast<unsigned long long>(drain->slow_forwards),
-                   static_cast<unsigned long long>(drain->track.stale_hits));
+                   static_cast<unsigned long long>(drain->cache.stale_hits));
       ++failures;
     }
     for (const auto& w : drain->windows) {

@@ -10,7 +10,7 @@
 // the window closes).
 //
 // Outputs:
-//  * bench/out/recovery_latency.json — l96.recovery.v1 rows.  A pure
+//  * bench/out/recovery_latency.json — l96.recovery.v2 rows.  A pure
 //    function of the seeds: byte-identical across runs and across
 //    harness::run worker counts (re-verified in-process below).
 //

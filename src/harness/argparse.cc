@@ -1,24 +1,9 @@
 #include "harness/argparse.h"
 
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 
 namespace l96::harness {
-
-namespace {
-
-template <typename T>
-bool parse_unsigned(const std::string& s, T* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size() || s[0] == '-') return false;
-  if (v > static_cast<unsigned long long>(~T{0})) return false;
-  *out = static_cast<T>(v);
-  return true;
-}
 
 bool parse_double(const std::string& s, double* out) {
   if (s.empty()) return false;
@@ -29,8 +14,6 @@ bool parse_double(const std::string& s, double* out) {
   *out = v;
   return true;
 }
-
-}  // namespace
 
 ArgParser::ArgParser(std::string prog, std::string summary)
     : prog_(std::move(prog)), summary_(std::move(summary)) {}

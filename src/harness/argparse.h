@@ -16,9 +16,12 @@
 // via CommonCliArgs::add_to so every tool spells it identically.
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -90,6 +93,24 @@ class ArgParser {
   std::vector<Pos> pos_;
   bool help_shown_ = false;
 };
+
+/// Whole-token numeric parses, shared by add_option and the tools' own
+/// positional and custom-option lambdas: the token must be a decimal
+/// number with nothing after it ("8x", "abc" and "" fail) that fits in T;
+/// unsigned parses also refuse a leading '-'.  *out is written only on
+/// success.
+template <typename T>
+bool parse_unsigned(const std::string& s, T* out) {
+  if (s.empty() || s[0] == '-') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  if (v > std::numeric_limits<T>::max()) return false;
+  *out = static_cast<T>(v);
+  return true;
+}
+bool parse_double(const std::string& s, double* out);
 
 /// The flag surface every harness tool shares, declared in one place.
 struct CommonCliArgs {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
-#include <type_traits>
 
+#include "net/lb.h"
 #include "protocols/tcp.h"
 
 namespace l96::harness::driver {
@@ -104,24 +104,31 @@ class Driver final : public proto::TcpUpper {
   }
   /// Fold a client connection's counters into the run, then destroy it.
   void retire(std::size_t k) {
-    run_.client_retransmits += conns_[k]->retransmits();
-    run_.client_syn_retransmits += conns_[k]->syn_retransmits();
+    fold(*conns_[k]);
     t_.client->tcp()->destroy(conns_[k]);
     conns_[k] = nullptr;
   }
-  /// Tear down the server side of local flow k on every live server.
+  /// Add a client connection's retransmit counters to the fallout.
+  void fold(const proto::TcpConn& c) {
+    run_.fallout.client_retransmits += c.retransmits();
+    run_.fallout.client_syn_retransmits += c.syn_retransmits();
+  }
+  /// Tear down the server side of local flow k on every live server: one
+  /// keyed demux lookup each (the LB rewrites only the MAC, so a backend
+  /// sees the client's own address).
   void destroy_remnant(std::size_t k) {
+    const std::uint32_t client_ip = t_.client->address().ip;
     for (net::Host* h : t_.servers) {
       if (h->crashed()) continue;
-      for (proto::TcpConn* c : h->tcp()->connections()) {
-        if (c->remote_port() == port_of(k) &&
-            c->local_port() == kFleetServerPort) {
-          h->tcp()->destroy(c);
-          break;
-        }
+      proto::Tcp& tcp = *h->tcp();
+      if (proto::TcpConn* c = tcp.find_connection(client_ip, kFleetServerPort,
+                                                  port_of(k))) {
+        tcp.destroy(c);
       }
     }
   }
+  /// Read the rest of the fallout off the client, servers and wires.
+  void harvest_fallout();
 
   void open();
   void ensure_alive(std::size_t k);
@@ -335,10 +342,9 @@ Run Driver::run() {
   }
   resolve_attribution();
   for (proto::TcpConn* c : conns_) {
-    if (c == nullptr) continue;
-    run_.client_retransmits += c->retransmits();
-    run_.client_syn_retransmits += c->syn_retransmits();
+    if (c != nullptr) fold(*c);
   }
+  harvest_fallout();
   std::vector<double> flat;
   flat.reserve(run_.samples.size());
   for (const TaggedSample& s : run_.samples) flat.push_back(s.us);
@@ -349,22 +355,38 @@ Run Driver::run() {
   return std::move(run_);
 }
 
+void Driver::harvest_fallout() {
+  Fallout& f = run_.fallout;
+  if (const proto::Tcp* tcp = t_.client->tcp()) {
+    f.connect_failures = tcp->connect_failures();
+    f.keepalive_probes_sent = tcp->keepalive_probes_sent();
+    f.keepalive_reaps = tcp->keepalive_reaps();
+  }
+  f.frames_to_dead = t_.client->frames_to_dead();
+  f.purged_events = t_.client->purged_events();
+  for (net::Host* h : t_.servers) {
+    if (const proto::Tcp* tcp = h->tcp()) f.rst_sent += tcp->rst_sent();
+    f.frames_to_dead += h->frames_to_dead();
+    f.purged_events += h->purged_events();
+    f.incarnations += h->incarnation();
+  }
+  for (const net::Wire* w : t_.wires) f.blackout_drops += w->blackout_drops();
+}
+
 }  // namespace
 
 double BurstPricer::price(const code::FlowLookupResult& lr, bool slow) {
-  if (flat != nullptr) {
-    return flat->controller_us + lr.cost_us +
-           (slow ? flat->slow_us : flat->fast_us) + flat->controller_us;
-  }
   const std::size_t at = in_burst ? pos : 0;
-  double us = burst->controller_us + lr.cost_us;
+  double us = costs->controller_us + lr.cost_us;
   if (slow) {
-    us += burst->slow_at(at);
+    us += costs->slow_at(at);
     pos = 0;
   } else {
-    us += burst->fast_at(at);
+    us += costs->fast_at(at);
     if (in_burst) ++pos;
   }
+  // The LB tier forwards: its frame crosses a second wire to the backend.
+  if (costs->kind == net::StackKind::kLb) us += costs->controller_us;
   return us;
 }
 
@@ -374,6 +396,7 @@ Topology pair(net::World& world) {
   t.events = &world.events();
   t.client = &world.client();
   t.servers = {&world.server()};
+  t.wires = {&world.wire()};
   t.dst_ip = world.server().address().ip;
   t.price_from_here = [&world](PriceHook h) {
     world.server().flow_cache()->reset_stats();
@@ -389,8 +412,10 @@ Topology tier(net::LbWorld& world) {
   Topology t;
   t.events = &world.events();
   t.client = &world.client();
+  t.wires = {&world.client_wire()};
   for (std::size_t i = 0; i < world.backend_count(); ++i) {
     t.servers.push_back(&world.backend(i));
+    t.wires.push_back(&world.backend_wire(i));
   }
   t.dst_ip = world.vip();
   t.price_from_here = [&world](PriceHook h) {
@@ -405,11 +430,16 @@ Topology tier(net::LbWorld& world) {
   return t;
 }
 
-std::uint64_t Run::samples_between(std::uint64_t begin,
-                                   std::uint64_t end) const {
-  return static_cast<std::uint64_t>(
-      std::count_if(sample_times.begin(), sample_times.end(),
-                    [&](std::uint64_t t) { return t >= begin && t < end; }));
+WindowSpan Run::span(const net::ChaosWindow& w) const {
+  WindowSpan s;
+  s.window = w;
+  s.start_abs_us = base_us + w.start_us;
+  s.end_abs_us = base_us + w.end_us;
+  s.samples_in_window = static_cast<std::uint64_t>(std::count_if(
+      sample_times.begin(), sample_times.end(), [&](std::uint64_t t) {
+        return t >= s.start_abs_us && t < s.end_abs_us;
+      }));
+  return s;
 }
 
 Run drive(const Topology& topo, const Plan& plan) {
@@ -431,9 +461,8 @@ LatencyPercentiles Run::phase_latency(bool disrupted_phase,
   return percentiles(std::move(picked));
 }
 
-template <typename Table>
 void check_costs(const char* caller, const FleetSpec& row,
-                  const Table& costs) {
+                 const BurstCostTable& costs) {
   const auto reject = [caller](const std::string& why) {
     throw std::invalid_argument(std::string(caller) + ": " + why);
   };
@@ -453,14 +482,11 @@ void check_costs(const char* caller, const FleetSpec& row,
            "classification is priced via FlowCacheCosts, not the flat "
            "analytic knob");
   }
-  if constexpr (std::is_same_v<Table, BurstCostTable>) {
-    if (costs.fast_us.empty() ||
-        costs.slow_us.size() != costs.fast_us.size()) {
-      reject("malformed cost table (needs >= 1 position and equal "
-             "fast/slow sizes)");
-    }
-    if (costs.kind != row.kind) reject("cost table measured for another stack");
+  if (costs.fast_us.empty() || costs.slow_us.size() != costs.fast_us.size()) {
+    reject("malformed cost table (needs >= 1 position and equal "
+           "fast/slow sizes)");
   }
+  if (costs.kind != row.kind) reject("cost table measured for another stack");
   if (costs.config_name != row.config.name) {
     reject("cost table measured for " + costs.config_name +
            " does not match row config " + row.config.name);
@@ -472,9 +498,5 @@ void check_costs(const char* caller, const FleetSpec& row,
            "sweeps must not reuse the defaults' costs)");
   }
 }
-
-template void check_costs(const char*, const FleetSpec&,
-                           const BurstCostTable&);
-template void check_costs(const char*, const FleetSpec&, const LbCostTable&);
 
 }  // namespace l96::harness::driver

@@ -9,7 +9,8 @@
 //    overlaps live traffic, the final fifth lands after it), dead
 //    connections are repaired before their next send, lost sends are
 //    counted, and samples and deliveries are timestamped;
-//  * pricer — BurstPricer over a BurstCostTable or the LB's flat price.
+//  * pricer — BurstPricer over the row's BurstCostTable (the LB tier's is
+//    one position of kind kLb).
 //
 // Every row walks its core's steps of fleet_detail::build_schedule() (as
 // split by split_schedule), establishes in waves of 256 through an O(1)
@@ -18,6 +19,8 @@
 // processing completed a delivery, so keepalive probes, stray ACKs and
 // RSTs landing mid-burst stay handshake traffic.  Without chaos every
 // in-burst frame is a delivery and the rule equals eager attribution.
+// When the walk ends the driver reads the Fallout off the topology's
+// client, servers and wires.
 // Fixed inputs => byte-identical samples, counters and timestamps.
 #pragma once
 
@@ -27,18 +30,18 @@
 #include <vector>
 
 #include "harness/fleet_internal.h"
-#include "harness/lb.h"
 #include "net/chaos.h"
 
 namespace l96::harness::driver {
 
-/// Prices one front-end activation.  Burst tables price at the current
-/// burst position; frames outside a burst (handshakes, repairs) price at
-/// position 0 without advancing it, and a stale hit's slow path sweeps the
-/// primary caches, so the packet after it re-warms from position 0.
+/// Prices one front-end activation as controller + lookup + the table's
+/// cost at the current burst position, plus a second wire leg for the LB
+/// tier (kind kLb: client -> LB -> backend).  Frames outside a burst
+/// (handshakes, repairs) price at position 0 without advancing it, and a
+/// stale hit's slow path sweeps the primary caches, so the packet after it
+/// re-warms from position 0.
 struct BurstPricer {
-  const BurstCostTable* burst = nullptr;  ///< position-indexed pricing
-  const LbCostTable* flat = nullptr;      ///< the LB's flat pricing
+  const BurstCostTable* costs = nullptr;
   bool in_burst = false;
   std::size_t pos = 0;
 
@@ -63,6 +66,8 @@ struct Topology {
   /// TCP: every host that listens for the fleet (the server, or the LB's
   /// backend pool).  RPC: the server whose MSELECT serves the calls.
   std::vector<net::Host*> servers;
+  /// Every wire a failure script can darken (fallout's blackout_drops).
+  std::vector<net::Wire*> wires;
   std::uint32_t dst_ip = 0;  ///< the server's address or the LB's VIP
   /// Zero the front end's lookup counters (the handshakes warmed them) and
   /// price every frame it classifies from now on.
@@ -123,11 +128,10 @@ struct Run {
   std::uint64_t base_us = 0;  ///< schedule time zero (the script's anchor)
   std::uint64_t lost_packets = 0;
   std::uint64_t reconnects = 0;
-  std::uint64_t client_retransmits = 0;
-  std::uint64_t client_syn_retransmits = 0;
+  Fallout fallout;
 
-  /// Samples priced in [begin, end).
-  std::uint64_t samples_between(std::uint64_t begin, std::uint64_t end) const;
+  /// `w` placed at base_us, with the samples priced inside it.
+  WindowSpan span(const net::ChaosWindow& w) const;
   /// Latency of the samples priced inside (`disrupted`) or outside the
   /// disrupted phases; their count goes to `n`.  Closed-loop rows carry no
   /// timestamps, so all their samples are steady.
@@ -143,10 +147,9 @@ Run drive(const Topology& topo, const Plan& plan);
 /// Throws std::invalid_argument, prefixed with `caller`, unless path
 /// inlining is on (the slow-path fallback is what the rows price), the
 /// population and schedule are non-empty, classifier_overhead_us is 0, and
-/// `costs` was measured for the row's config and params (burst tables:
-/// also well formed and for the row's stack kind).
-template <typename Table>
+/// `costs` is well formed and was measured for the row's stack kind,
+/// config and params.
 void check_costs(const char* caller, const FleetSpec& row,
-                  const Table& costs);
+                 const BurstCostTable& costs);
 
 }  // namespace l96::harness::driver

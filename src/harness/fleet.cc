@@ -234,7 +234,7 @@ driver::Run run_fleet_core(const FleetSpec& spec, const BurstCostTable& costs,
   plan.work = &work;
   plan.packets = spec.packets;
   plan.local_ports = local_ports;
-  plan.pricer.burst = &costs;
+  plan.pricer.costs = &costs;
   run = driver::drive(driver::pair(*world), plan);
   run.result.spec = spec;
   run.result.cache = world->server().flow_cache()->stats();

@@ -10,7 +10,8 @@
 // cost + processing time, the last from a position-indexed BurstCostTable
 // (a stale hit after churn takes the standalone slow path at its burst
 // position).  This header holds the row's spec, counters and pricing
-// table.  A row runs as a ShardSpec through harness::run(ShardRunSpec) or
+// table, and the fallout and window spans every paced row reports.  A row
+// runs as a ShardSpec through harness::run(ShardRunSpec) or
 // run_sharded_fleet (harness/shard.h), `cores = 1` being the
 // single-machine row; its packets move through harness/driver.h.
 #pragma once
@@ -22,6 +23,7 @@
 #include "code/flow_cache.h"
 #include "harness/experiment.h"
 #include "harness/stats.h"
+#include "net/chaos.h"
 
 namespace l96::harness {
 
@@ -38,7 +40,8 @@ std::uint64_t machine_params_key(const MachineParams& params);
 /// slow-path cost (guard failure / stale hit) entered at burst position p.
 /// Positions past the table clamp to the last entry (the steady-amortized
 /// floor).  Measured once per (kind, config, params) by
-/// measure_burst_costs.
+/// measure_burst_costs; the LB tier's one-position table (kind kLb) comes
+/// from measure_lb_costs (harness/lb.h).
 struct BurstCostTable {
   double controller_us = 0;  ///< one controller+wire traversal (min frame)
   std::vector<double> fast_us;
@@ -117,12 +120,13 @@ struct FleetSpec {
 };
 
 /// The packet counters every fleet-shaped row reports: a whole row, one
-/// of its cores, or a recovery row's fleet view.  Conservation (enforced
-/// by bench_fleet_scaling's exit status):
+/// of its cores, a recovery row's fleet view, or an LB row (whose cache is
+/// the LB's conn track).  Conservation (enforced by bench_fleet_scaling's
+/// exit status; paced rows add their lost_packets to the first line):
 ///   spec.packets == scheduled_sampled + dropped_in_churn
 ///   packets_sampled == scheduled_sampled + handshake_sampled
 struct FleetCounts {
-  std::uint64_t packets_sampled = 0;  ///< inbound frames priced at the server
+  std::uint64_t packets_sampled = 0;  ///< frames priced at the front end
   std::uint64_t scheduled_sampled = 0;  ///< of which: scheduled data packets
   std::uint64_t handshake_sampled = 0;  ///< of which: churn handshake frames
   /// Scheduled packets that were never priced because their connection was
@@ -135,6 +139,35 @@ struct FleetCounts {
 
   /// Field-wise sum (a row's counters are the sum over its cores).
   FleetCounts& operator+=(const FleetCounts& o) noexcept;
+};
+
+/// What a row's failure script did to its hosts and wires, read off the
+/// topology when the packet driver finishes (harness/driver.h).  Client
+/// counters cover every connection the client ever held; a server's
+/// counters reset with each incarnation, so rst_sent covers the current
+/// one (the post-reboot convergence storm).
+struct Fallout {
+  std::uint64_t client_retransmits = 0;  ///< data rexmts, all client conns
+  std::uint64_t client_syn_retransmits = 0;
+  std::uint64_t connect_failures = 0;       ///< SYN-retry exhaustions
+  std::uint64_t keepalive_probes_sent = 0;  ///< client-side probes
+  std::uint64_t keepalive_reaps = 0;        ///< client-side half-open reaps
+  std::uint64_t rst_sent = 0;        ///< summed over the servers
+  std::uint64_t frames_to_dead = 0;  ///< frames a crashed host discarded
+  std::uint64_t blackout_drops = 0;  ///< frames a dark wire swallowed
+  std::uint64_t purged_events = 0;   ///< timers killed by crashes
+  std::uint32_t incarnations = 0;    ///< summed over the servers (1 + reboots)
+
+  friend bool operator==(const Fallout&, const Fallout&) = default;
+};
+
+/// A failure window placed on a paced run's timeline: the script-relative
+/// window, its absolute [start, end) and the samples priced inside it.
+struct WindowSpan {
+  net::ChaosWindow window;
+  std::uint64_t start_abs_us = 0;
+  std::uint64_t end_abs_us = 0;
+  std::uint64_t samples_in_window = 0;
 };
 
 /// One world's run of a fleet row: what the packet driver returns for one

@@ -115,6 +115,10 @@ const Json::Object* Json::as_object() const noexcept {
   return std::get_if<Object>(&v_);
 }
 
+const Json::Array* Json::as_array() const noexcept {
+  return std::get_if<Array>(&v_);
+}
+
 const std::string* Json::as_string() const noexcept {
   return std::get_if<std::string>(&v_);
 }

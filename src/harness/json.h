@@ -65,6 +65,8 @@ class Json {
 
   /// Object entries in insertion order; nullptr when not an object.
   const Object* as_object() const noexcept;
+  /// Array elements; nullptr when not an array.
+  const Array* as_array() const noexcept;
   /// The string payload; nullptr when not a string.
   const std::string* as_string() const noexcept;
 

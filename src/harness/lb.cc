@@ -5,12 +5,11 @@
 
 #include "harness/driver.h"
 #include "protocols/lance.h"
-#include "protocols/tcp.h"
 
 namespace l96::harness {
 
-LbCostTable measure_lb_costs(const code::StackConfig& cfg,
-                             const MachineParams& params) {
+BurstCostTable measure_lb_costs(const code::StackConfig& cfg,
+                                const MachineParams& params) {
   net::LbWorldOptions opts;
   opts.backends = 2;
   net::LbWorld world(cfg, cfg, cfg, opts);
@@ -20,7 +19,8 @@ LbCostTable measure_lb_costs(const code::StackConfig& cfg,
         "measure_lb_costs: warm-up ping-pong stalled for config " + cfg.name);
   }
 
-  LbCostTable table;
+  BurstCostTable table;
+  table.kind = net::StackKind::kLb;
   table.config_name = cfg.name;
   table.params_key = machine_params_key(params);
   table.controller_us =
@@ -58,7 +58,7 @@ LbCostTable measure_lb_costs(const code::StackConfig& cfg,
   fs.split = fast_split;
   fs.seed_offset = 2;  // client 0 / server 1 / LB 2 by convention
   fs.params = params;
-  table.fast_us = measure_side(fs).tp_us;
+  table.fast_us = {measure_side(fs).tp_us};
 
   // The slow activation replays under the fast capture's layout profile:
   // the image is laid out for the pinned path, so the rebind pays the
@@ -67,13 +67,14 @@ LbCostTable measure_lb_costs(const code::StackConfig& cfg,
   ss.trace = &slow;
   ss.profile = &fast;
   ss.split = slow_split;
-  table.slow_us = measure_side(ss).tp_us;
+  table.slow_us = {measure_side(ss).tp_us};
   return table;
 }
 
-LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
+LbResult run_lb(const LbSpec& spec, const BurstCostTable& costs) {
   // The population and schedule as a fleet row (LB rows never churn).
   const FleetSpec fleet{.label = spec.label,
+                        .kind = net::StackKind::kLb,
                         .config = spec.config,
                         .connections = spec.connections,
                         .packets = spec.packets,
@@ -118,32 +119,25 @@ LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
   // script one recover_threshold's worth of probe intervals of slack.
   plan.horizon_slack_us =
       (spec.health.recover_threshold + 1) * spec.health.interval_us;
-  plan.pricer.flat = &costs;
+  plan.pricer.costs = &costs;
   driver::Run run = driver::drive(driver::tier(world), plan);
 
   LbResult r;
+  static_cast<FleetCounts&>(r) = run.result;
+  r.cache = world.lb().conn_track().stats();
   r.spec = spec;
-  r.packets_sampled = run.result.packets_sampled;
-  r.scheduled_sampled = run.result.scheduled_sampled;
-  r.handshake_sampled = run.result.handshake_sampled;
   r.lost_packets = run.lost_packets;
   r.reconnects = run.reconnects;
+  r.fallout = run.fallout;
   r.latency = run.result.latency;
   r.sample_digest = run.result.sample_digest;
   r.sim_us = run.result.sim_us;
-  r.client_retransmits = run.client_retransmits;
-  r.client_syn_retransmits = run.client_syn_retransmits;
 
   // Steering verdicts from the LB's rebuild ledger; a window's disrupted
   // phase runs from its start until the pool restored the backend.
   const std::vector<net::LbRebuild>& rebuilds = world.lb().rebuilds();
   for (const net::ChaosWindow& w : spec.chaos.windows()) {
-    LbSteer st;
-    st.window = w;
-    st.start_abs_us = run.base_us + w.start_us;
-    st.end_abs_us = run.base_us + w.end_us;
-    st.samples_in_window =
-        run.samples_between(st.start_abs_us, st.end_abs_us);
+    LbSteer st{run.span(w)};
     if (w.target == net::ChaosTarget::kBackend ||
         w.target == net::ChaosTarget::kBackendLink) {
       for (const net::LbRebuild& rb : rebuilds) {
@@ -182,28 +176,12 @@ LbResult run_lb(const LbSpec& spec, const LbCostTable& costs) {
   r.dark_forwards = world.lb().dark_forwards();
   r.health_probes = world.lb().health_probes();
   r.rebuilds = rebuilds;
-  r.track = world.lb().conn_track().stats();
-  r.blackout_drops = world.client_wire().blackout_drops();
-  r.frames_to_dead = world.client().frames_to_dead();
-  r.purged_events = world.client().purged_events();
-  for (std::size_t i = 0; i < spec.backends; ++i) {
-    r.rst_sent += world.backend(i).tcp()->rst_sent();
-    r.frames_to_dead += world.backend(i).frames_to_dead();
-    r.purged_events += world.backend(i).purged_events();
-    r.blackout_drops += world.backend_wire(i).blackout_drops();
-    r.backend_incarnations += world.backend(i).incarnation();
-  }
   return r;
 }
 
-Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows) {
-  Json section = emit_section("lb", 1);
-  section.set("costs", Json::object()
-                           .set("controller_us", costs.controller_us)
-                           .set("fast_us", costs.fast_us)
-                           .set("slow_us", costs.slow_us)
-                           .set("config", costs.config_name)
-                           .set("params_key", costs.params_key));
+Json lb_json(const BurstCostTable& costs, const std::vector<LbResult>& rows) {
+  Json section = emit_section("lb", 2);
+  section.set("costs", costs_json(costs));
   Json out_rows = Json::array();
   for (const LbResult& r : rows) {
     const LbSpec& s = r.spec;
@@ -224,20 +202,11 @@ Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows) {
     }
     Json windows = Json::array();
     for (const LbSteer& w : r.windows) {
-      windows.push_back(
-          Json::object()
-              .set("kind", w.window.drain    ? "drain"
-                           : w.window.crash  ? "crash"
-                                             : "blackout")
-              .set("target", net::to_string(w.window.target))
-              .set("index", static_cast<std::uint64_t>(w.window.index))
-              .set("start_us", w.start_abs_us)
-              .set("end_us", w.end_abs_us)
-              .set("samples_in_window", w.samples_in_window)
-              .set("steered_away", w.steered_away)
-              .set("tta_us", w.tta_us)
-              .set("restored", w.restored)
-              .set("ttr_us", w.ttr_us));
+      windows.push_back(span_json(w)
+                            .set("steered_away", w.steered_away)
+                            .set("tta_us", w.tta_us)
+                            .set("restored", w.restored)
+                            .set("ttr_us", w.ttr_us));
     }
     Json row = Json::object();
     row.set("label", s.label)
@@ -259,10 +228,8 @@ Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows) {
                  .set("fail_threshold",
                       static_cast<std::uint64_t>(s.health.fail_threshold))
                  .set("recover_threshold", static_cast<std::uint64_t>(
-                                               s.health.recover_threshold)))
-        .set("packets_sampled", r.packets_sampled)
-        .set("scheduled_sampled", r.scheduled_sampled)
-        .set("handshake_sampled", r.handshake_sampled)
+                                               s.health.recover_threshold)));
+    set_counts(row, r)
         .set("lost_packets", r.lost_packets)
         .set("reconnects", r.reconnects)
         .set("forwards", r.forwards)
@@ -271,15 +238,7 @@ Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows) {
         .set("drops_no_backend", r.drops_no_backend)
         .set("dark_forwards", r.dark_forwards)
         .set("health_probes", r.health_probes)
-        .set("client_retransmits", r.client_retransmits)
-        .set("client_syn_retransmits", r.client_syn_retransmits)
-        .set("rst_sent", r.rst_sent)
-        .set("frames_to_dead", r.frames_to_dead)
-        .set("blackout_drops", r.blackout_drops)
-        .set("purged_events", r.purged_events)
-        .set("backend_incarnations",
-             static_cast<std::uint64_t>(r.backend_incarnations))
-        .set("track", cache_json(r.track, CacheFields::kShort))
+        .set("fallout", fallout_json(r.fallout))
         .set("latency_us", percentiles_json(r.latency))
         .set("steady_us", percentiles_json(r.steady))
         .set("disrupted_us", percentiles_json(r.disrupted))

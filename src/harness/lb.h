@@ -6,7 +6,8 @@
 // pool (net/lb.h), from two captured LbHost activations (measure_lb_costs).
 // run_lb() drives the fleet schedule (harness/driver.h, LB-tier topology)
 // over an LbWorld while a ChaosTimeline drains, crashes and partitions
-// backends, pricing every client->LB frame as
+// backends, pricing every client->LB frame with the driver's BurstPricer
+// over a one-position table of kind kLb:
 //
 //     wire leg in + conn-track lookup + (fast | slow) + wire leg out
 //
@@ -28,25 +29,21 @@
 
 namespace l96::harness {
 
-/// Single-position pricing for the LB tier's forwarding path, measured
-/// once per (config, params) by measure_lb_costs().
-struct LbCostTable {
-  double controller_us = 0;  ///< one controller+wire traversal (min frame)
-  double fast_us = 0;        ///< pinned conn-track hit -> rewrite -> forward
-  double slow_us = 0;        ///< stale rebind: hash + Maglev probe + rebind
-  std::string config_name;
-  std::uint64_t params_key = 0;  ///< machine_params_key() of the params
-};
+/// The LB tier's pricing is a one-position BurstCostTable of kind kLb:
+/// fast_us[0] is a pinned conn-track hit -> rewrite -> forward, slow_us[0]
+/// a stale rebind (hash + Maglev probe + re-pin).  The name stays for the
+/// callers that spell it.
+using LbCostTable = BurstCostTable;
 
-/// Measure an LbCostTable for `cfg`: warm an LbWorld's ping-pong flow,
+/// Measure the LB table for `cfg`: warm an LbWorld's ping-pong flow,
 /// capture one pinned-hit forwarding activation (fast), invalidate the
 /// conn track so the next frame records the stale rebind (slow), and
 /// price both with measure_side under kind = kLb — the slow activation
 /// replays under the fast capture's layout profile, so with path
 /// inlining it pays the standalone cold-segment placements.
-LbCostTable measure_lb_costs(const code::StackConfig& cfg,
-                             const MachineParams& params =
-                                 MachineParams::defaults());
+BurstCostTable measure_lb_costs(const code::StackConfig& cfg,
+                                const MachineParams& params =
+                                    MachineParams::defaults());
 
 /// One failover row: a connection fleet steered across a backend pool
 /// while a failure script runs.
@@ -75,26 +72,22 @@ struct LbSpec {
 /// Per-disruption-window steering verdict, derived from the LB's rebuild
 /// records: how long after the fault began did the pool stop offering
 /// the target backend, and how long after it ended was it restored.
-struct LbSteer {
-  net::ChaosWindow window;
-  std::uint64_t start_abs_us = 0;
-  std::uint64_t end_abs_us = 0;
-  std::uint64_t samples_in_window = 0;
+struct LbSteer : WindowSpan {
   bool steered_away = false;  ///< a rebuild removed the target backend
   double tta_us = -1;         ///< rebuild time - window start (detection)
   bool restored = false;      ///< a rebuild restored it after window end
   double ttr_us = -1;         ///< rebuild time - window end
 };
 
-struct LbResult {
+/// One failover row's report.  The FleetCounts are the LB front end's:
+/// client->LB frames priced, and `cache` is the conn track.  Conservation
+/// under chaos (bench_lb_failover enforces the first with no packet
+/// dropped in churn):
+///   spec.packets == scheduled_sampled + dropped_in_churn + lost_packets
+///   packets_sampled == scheduled_sampled + handshake_sampled
+struct LbResult : FleetCounts {
   LbSpec spec;  ///< echoed for reporting
 
-  // Packet accounting.  Conservation under chaos (bench-enforced):
-  //   spec.packets == scheduled_sampled + lost_packets
-  //   packets_sampled == scheduled_sampled + handshake_sampled
-  std::uint64_t packets_sampled = 0;    ///< client->LB frames priced
-  std::uint64_t scheduled_sampled = 0;  ///< of which: scheduled data
-  std::uint64_t handshake_sampled = 0;  ///< of which: handshake/repair
   /// Scheduled packets whose connection died with the byte undelivered
   /// (crash failover); a drain-only script must lose zero (bench).
   std::uint64_t lost_packets = 0;
@@ -108,16 +101,8 @@ struct LbResult {
   std::uint64_t dark_forwards = 0;
   std::uint64_t health_probes = 0;
   std::vector<net::LbRebuild> rebuilds;
-  code::FlowCacheStats track;  ///< conn-track hit/miss/stale counters
 
-  // Client/backend-side fallout.
-  std::uint64_t client_retransmits = 0;
-  std::uint64_t client_syn_retransmits = 0;
-  std::uint64_t rst_sent = 0;        ///< sum over backend incarnations alive
-  std::uint64_t frames_to_dead = 0;  ///< frames that hit a crashed backend
-  std::uint64_t blackout_drops = 0;  ///< frames a dark backend link ate
-  std::uint64_t purged_events = 0;
-  std::uint32_t backend_incarnations = 0;  ///< sum over the pool
+  Fallout fallout;  ///< client/backend-side toll of the script
 
   // Latency: every priced client->LB frame, split steady vs disrupted
   // (inside a failure window or its repair tail).
@@ -135,9 +120,11 @@ struct LbResult {
 /// Run one failover row.  Throws std::runtime_error (naming the row) when
 /// the world stalls, and std::invalid_argument when the spec is malformed
 /// or the cost table does not match its config/params.
-LbResult run_lb(const LbSpec& spec, const LbCostTable& costs);
+LbResult run_lb(const LbSpec& spec, const BurstCostTable& costs);
 
-/// The rows + shared costs as a schema-versioned section (`l96.lb.v1`).
-Json lb_json(const LbCostTable& costs, const std::vector<LbResult>& rows);
+/// The rows + shared costs as a schema-versioned section (`l96.lb.v2`):
+/// the costs, counter, fallout and window-span blocks are the ones
+/// `l96.shard.v2` and `l96.recovery.v2` print (harness/stats.h).
+Json lb_json(const BurstCostTable& costs, const std::vector<LbResult>& rows);
 
 }  // namespace l96::harness

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "harness/driver.h"
-#include "protocols/tcp.h"
 
 namespace l96::harness {
 
@@ -56,7 +55,7 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
   plan.work = &work.front();
   plan.packets = spec.packets;
   plan.chaos = rspec.chaos;
-  plan.pricer.burst = &costs;
+  plan.pricer.costs = &costs;
   driver::Run run = driver::drive(driver::pair(*world), plan);
 
   RecoveryResult r;
@@ -66,18 +65,12 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
   r.fleet.cache = world->server().flow_cache()->stats();
   r.lost_packets = run.lost_packets;
   r.reconnects = run.reconnects;
-  r.client_retransmits = run.client_retransmits;
-  r.client_syn_retransmits = run.client_syn_retransmits;
+  r.fallout = run.fallout;
 
   // A window's recovery phase runs from its start to the first completed
   // delivery at or after its end (which also defines time-to-recover).
   for (const net::ChaosWindow& w : rspec.chaos.windows()) {
-    RecoveryWindow rw;
-    rw.window = w;
-    rw.start_abs_us = run.base_us + w.start_us;
-    rw.end_abs_us = run.base_us + w.end_us;
-    rw.samples_in_window =
-        run.samples_between(rw.start_abs_us, rw.end_abs_us);
+    RecoveryWindow rw{run.span(w)};
     const auto it = std::lower_bound(run.delivery_times.begin(),
                                      run.delivery_times.end(),
                                      rw.end_abs_us);
@@ -93,66 +86,30 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
   }
   r.steady = run.phase_latency(false, r.steady_samples);
   r.recovery = run.phase_latency(true, r.recovery_samples);
-
-  r.connect_failures = world->client().tcp()->connect_failures();
-  r.keepalive_probes_sent = world->client().tcp()->keepalive_probes_sent();
-  r.keepalive_reaps = world->client().tcp()->keepalive_reaps();
-  // Server-side counters reset with each incarnation; rst_sent from the
-  // current incarnation covers the post-reboot convergence storm.
-  r.rst_sent = world->server().tcp()->rst_sent();
-  r.blackout_drops = world->wire().blackout_drops();
-  r.frames_to_dead =
-      world->server().frames_to_dead() + world->client().frames_to_dead();
-  r.purged_events =
-      world->server().purged_events() + world->client().purged_events();
-  r.server_incarnation = world->server().incarnation();
   return r;
 }
 
 Json recovery_json(const BurstCostTable& costs,
                    const std::vector<RecoveryResult>& rows) {
-  Json section = emit_section("recovery", 1);
+  Json section = emit_section("recovery", 2);
   section.set("costs", costs_json(costs));
   Json out_rows = Json::array();
   for (const RecoveryResult& r : rows) {
-    const FleetSpec& s = r.spec.fleet;
     Json windows = Json::array();
     for (const RecoveryWindow& w : r.windows) {
-      windows.push_back(
-          Json::object()
-              .set("kind", w.window.crash ? "crash" : "blackout")
-              .set("target", net::to_string(w.window.target))
-              .set("start_us", w.start_abs_us)
-              .set("end_us", w.end_abs_us)
-              .set("samples_in_window", w.samples_in_window)
-              .set("recovered", w.recovered)
-              .set("ttr_us", w.ttr_us));
+      windows.push_back(span_json(w)
+                            .set("recovered", w.recovered)
+                            .set("ttr_us", w.ttr_us));
     }
-    Json row = fleet_row_json(s, /*with_kind=*/false);
+    Json row = fleet_row_json(r.spec.fleet, /*with_kind=*/false);
     row.set("chaos", r.spec.chaos.str())
         .set("keepalive_idle_us", r.spec.keepalive_idle_us)
         .set("max_syn_rexmts",
-             static_cast<std::uint64_t>(r.spec.max_syn_rexmts))
-        .set("packets_sampled", r.fleet.packets_sampled)
-        .set("scheduled_sampled", r.fleet.scheduled_sampled)
-        .set("handshake_sampled", r.fleet.handshake_sampled)
-        .set("dropped_in_churn", r.fleet.dropped_in_churn)
+             static_cast<std::uint64_t>(r.spec.max_syn_rexmts));
+    set_counts(row, r.fleet)
         .set("lost_packets", r.lost_packets)
         .set("reconnects", r.reconnects)
-        .set("connect_failures", r.connect_failures)
-        .set("client_retransmits", r.client_retransmits)
-        .set("client_syn_retransmits", r.client_syn_retransmits)
-        .set("keepalive_probes_sent", r.keepalive_probes_sent)
-        .set("keepalive_reaps", r.keepalive_reaps)
-        .set("rst_sent", r.rst_sent)
-        .set("blackout_drops", r.blackout_drops)
-        .set("frames_to_dead", r.frames_to_dead)
-        .set("purged_events", r.purged_events)
-        .set("server_incarnation",
-             static_cast<std::uint64_t>(r.server_incarnation))
-        .set("slow_packets", r.fleet.slow_packets)
-        .set("churns", r.fleet.churns)
-        .set("cache", cache_json(r.fleet.cache, CacheFields::kShort))
+        .set("fallout", fallout_json(r.fallout))
         .set("latency_us", percentiles_json(r.fleet.latency))
         .set("steady_us", percentiles_json(r.steady))
         .set("recovery_us", percentiles_json(r.recovery))

@@ -36,15 +36,11 @@ struct RecoverySpec {
   std::uint32_t max_syn_rexmts = 0;
 };
 
-/// One disruption window's outcome, in absolute virtual time.
-struct RecoveryWindow {
-  net::ChaosWindow window;       ///< script-relative [start, end)
-  std::uint64_t start_abs_us = 0;
-  std::uint64_t end_abs_us = 0;
-  /// Priced server deliveries inside [start, end): must be 0 for blackout
-  /// windows (the wire blackholes everything) and for crash windows (the
-  /// dead host discards arrivals) — bench_recovery_latency exit-enforces.
-  std::uint64_t samples_in_window = 0;
+/// One disruption window's outcome, in absolute virtual time.  Priced
+/// server deliveries inside [start, end) must be 0 for blackout windows
+/// (the wire blackholes everything) and for crash windows (the dead host
+/// discards arrivals) — bench_recovery_latency exit-enforces.
+struct RecoveryWindow : WindowSpan {
   bool recovered = false;            ///< a delivery completed after the window
   std::uint64_t first_delivery_abs_us = 0;  ///< when recovered
   /// Time-to-recover: first completed delivery at/after the window's end,
@@ -64,16 +60,7 @@ struct RecoveryResult {
   //   fleet.scheduled_sampled + fleet.dropped_in_churn + lost_packets.
   std::uint64_t lost_packets = 0;   ///< scheduled packets that died with a conn
   std::uint64_t reconnects = 0;     ///< re-establishments after a conn died
-  std::uint64_t connect_failures = 0;   ///< SYN-retry exhaustions (client)
-  std::uint64_t client_retransmits = 0; ///< data rexmts across all client conns
-  std::uint64_t client_syn_retransmits = 0;
-  std::uint64_t keepalive_probes_sent = 0;  ///< client-side probes
-  std::uint64_t keepalive_reaps = 0;        ///< client-side half-open reaps
-  std::uint64_t rst_sent = 0;               ///< server RSTs (new incarnation)
-  std::uint64_t blackout_drops = 0;         ///< frames the dead link swallowed
-  std::uint64_t frames_to_dead = 0;         ///< frames a crashed host discarded
-  std::uint64_t purged_events = 0;          ///< timers killed by crashes
-  std::uint32_t server_incarnation = 1;     ///< 1 + server reboots
+  Fallout fallout;                  ///< the script's toll on hosts and wire
 
   /// Latency split by phase: recovery covers [window start, first delivery
   /// at/after window end] for every window, plus every failed send attempt
@@ -90,8 +77,10 @@ struct RecoveryResult {
 RecoveryResult run_recovery(const RecoverySpec& spec,
                             const BurstCostTable& costs);
 
-/// Schema-versioned section (`l96.recovery.v1`) for standalone emission /
-/// SweepOutcome::extra_json.
+/// Schema-versioned section (`l96.recovery.v2`) for standalone emission /
+/// SweepOutcome::extra_json.  Its costs and counter blocks are the ones
+/// `l96.shard.v2` prints, its fallout block and window spans the ones
+/// `l96.lb.v2` prints (harness/stats.h).
 Json recovery_json(const BurstCostTable& costs,
                    const std::vector<RecoveryResult>& rows);
 

@@ -69,7 +69,7 @@ struct RecoveryRunSpec {
 struct LbRunSpec {
   RunnerSpec common;
   std::vector<LbSpec> rows;
-  LbCostTable costs;
+  BurstCostTable costs;
 };
 
 struct SoakRunSpec {

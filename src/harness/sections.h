@@ -24,11 +24,11 @@ inline constexpr SectionInfo kSectionManifest[] = {
     {"sweep", 1, "harness::write_sweep_json"},
     {"classifier", 1, "bench_classifier_scale"},
     {"missmap", 1, "harness::missmap_json"},
-    {"recovery", 1, "harness::recovery_json"},
+    {"recovery", 2, "harness::recovery_json"},
     {"burst", 1, "bench_burst_amortization"},
     {"fault", 2, "bench_fault_latency"},
     {"shard", 2, "harness::shard_json"},
-    {"lb", 1, "harness::lb_json"},
+    {"lb", 2, "harness::lb_json"},
     {"soak", 1, "harness::run(SoakRunSpec)"},
     {"stream", 1, "harness::run(StreamRunSpec)"},
 };

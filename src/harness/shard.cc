@@ -270,17 +270,6 @@ ShardResult run_sharded_fleet(const ShardSpec& spec,
 
 Json shard_json(const BurstCostTable& costs,
                 const std::vector<ShardResult>& rows) {
-  // The counter block a row and each of its cores share.
-  const auto counts = [](Json& j, const FleetCounts& c) -> Json& {
-    return j.set("packets_sampled", c.packets_sampled)
-        .set("scheduled_sampled", c.scheduled_sampled)
-        .set("handshake_sampled", c.handshake_sampled)
-        .set("dropped_in_churn", c.dropped_in_churn)
-        .set("bursts", c.bursts)
-        .set("slow_packets", c.slow_packets)
-        .set("churns", c.churns)
-        .set("cache", cache_json(c.cache, CacheFields::kFull));
-  };
   Json section = emit_section("shard", 2);
   section.set("costs", costs_json(costs));
   Json out_rows = Json::array();
@@ -291,7 +280,7 @@ Json shard_json(const BurstCostTable& costs,
       Json core = Json::object()
                       .set("core", static_cast<std::uint64_t>(c.core))
                       .set("flows", static_cast<std::uint64_t>(c.flows));
-      counts(core, c)
+      set_counts(core, c)
           .set("service_us", percentiles_json(c.service))
           .set("sojourn_us", percentiles_json(c.sojourn))
           .set("busy_us", c.busy_us)
@@ -313,7 +302,7 @@ Json shard_json(const BurstCostTable& costs,
         .set("cores", static_cast<std::uint64_t>(r.spec.cores))
         .set("steering", to_string(r.spec.steering))
         .set("arrival_us", r.spec.arrival_us);
-    counts(row, r)
+    set_counts(row, r)
         .set("latency_us", percentiles_json(r.latency))
         .set("sojourn_us", percentiles_json(r.sojourn))
         .set("sim_us", r.sim_us)

@@ -64,21 +64,52 @@ Json fleet_row_json(const FleetSpec& s, bool with_kind) {
       .set("cache_capacity", static_cast<std::uint64_t>(s.cache_capacity));
 }
 
-Json cache_json(const code::FlowCacheStats& c, CacheFields fields) {
-  Json j = Json::object()
-               .set("lookups", c.lookups)
-               .set("hits", c.hits)
-               .set("misses", c.misses)
-               .set("stale_hits", c.stale_hits);
-  const bool full = fields == CacheFields::kFull;
-  if (full) {
-    j.set("unkeyed", c.unkeyed)
-        .set("unmatched_scans", c.unmatched_scans)
-        .set("rules_examined", c.rules_examined);
-  }
-  j.set("hit_ratio", c.hit_ratio());
-  if (full) j.set("stale_ratio", c.stale_ratio());
-  return j.set("cost_us", c.cost_us);
+Json& set_counts(Json& row, const FleetCounts& c) {
+  const code::FlowCacheStats& k = c.cache;
+  return row.set("packets_sampled", c.packets_sampled)
+      .set("scheduled_sampled", c.scheduled_sampled)
+      .set("handshake_sampled", c.handshake_sampled)
+      .set("dropped_in_churn", c.dropped_in_churn)
+      .set("bursts", c.bursts)
+      .set("slow_packets", c.slow_packets)
+      .set("churns", c.churns)
+      .set("cache", Json::object()
+                        .set("lookups", k.lookups)
+                        .set("hits", k.hits)
+                        .set("misses", k.misses)
+                        .set("stale_hits", k.stale_hits)
+                        .set("unkeyed", k.unkeyed)
+                        .set("unmatched_scans", k.unmatched_scans)
+                        .set("rules_examined", k.rules_examined)
+                        .set("hit_ratio", k.hit_ratio())
+                        .set("stale_ratio", k.stale_ratio())
+                        .set("cost_us", k.cost_us));
+}
+
+Json fallout_json(const Fallout& f) {
+  return Json::object()
+      .set("client_retransmits", f.client_retransmits)
+      .set("client_syn_retransmits", f.client_syn_retransmits)
+      .set("connect_failures", f.connect_failures)
+      .set("keepalive_probes_sent", f.keepalive_probes_sent)
+      .set("keepalive_reaps", f.keepalive_reaps)
+      .set("rst_sent", f.rst_sent)
+      .set("frames_to_dead", f.frames_to_dead)
+      .set("blackout_drops", f.blackout_drops)
+      .set("purged_events", f.purged_events)
+      .set("incarnations", static_cast<std::uint64_t>(f.incarnations));
+}
+
+Json span_json(const WindowSpan& w) {
+  return Json::object()
+      .set("kind", w.window.drain   ? "drain"
+                   : w.window.crash ? "crash"
+                                    : "blackout")
+      .set("target", net::to_string(w.window.target))
+      .set("index", static_cast<std::uint64_t>(w.window.index))
+      .set("start_us", w.start_abs_us)
+      .set("end_us", w.end_abs_us)
+      .set("samples_in_window", w.samples_in_window);
 }
 
 std::uint64_t sample_digest(const std::vector<double>& samples) {

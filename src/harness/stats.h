@@ -1,6 +1,6 @@
 // Sample statistics shared by every packet-driving row (shard, recovery,
-// LB): latency percentiles, the per-row sample digest, and the
-// JSON blocks the row emitters share.
+// LB): latency percentiles, the per-row sample digest, and the JSON
+// blocks the row emitters share (costs, counters, fallout, window span).
 #pragma once
 
 #include <cstddef>
@@ -13,7 +13,10 @@
 namespace l96::harness {
 
 struct BurstCostTable;
+struct Fallout;
+struct FleetCounts;
 struct FleetSpec;
+struct WindowSpan;
 
 struct LatencyPercentiles {
   double p50 = 0, p90 = 0, p99 = 0, p999 = 0;
@@ -33,11 +36,18 @@ Json costs_json(const BurstCostTable& costs);
 /// packets, batch, zipf_s, seed, cache_capacity.
 Json fleet_row_json(const FleetSpec& s, bool with_kind);
 
-/// Flow-cache counters per section: recovery and LB rows print the short
-/// form; shard rows print every field (unkeyed, unmatched_scans,
-/// rules_examined, stale_ratio too).
-enum class CacheFields { kShort, kFull };
-Json cache_json(const code::FlowCacheStats& c, CacheFields fields);
+/// The counter block every fleet-shaped row prints (a shard row and each
+/// of its cores, a recovery row, an LB row): the FleetCounts fields in
+/// declaration order, then "cache" with every FlowCacheStats field.
+/// Returns `row` for chaining.
+Json& set_counts(Json& row, const FleetCounts& c);
+
+/// A paced row's Fallout, one key per field.
+Json fallout_json(const Fallout& f);
+
+/// A paced row's window: kind (blackout|crash|drain), target, index,
+/// start_us, end_us, samples_in_window; the row appends its verdicts.
+Json span_json(const WindowSpan& w);
 
 /// FNV-1a seed of every sample digest and of machine_params_key.  It is
 /// the standard 64-bit offset basis 14695981039346656037 with its last

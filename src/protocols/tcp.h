@@ -236,6 +236,15 @@ class Tcp final : public xk::Protocol, public IpUpper {
   /// (teardown sweeps).
   std::vector<TcpConn*> connections();
 
+  /// The connection bound to (remote ip, local port, remote port), or
+  /// nullptr: one keyed demux-map lookup that leaves the map's one-entry
+  /// cache and stats untouched (xk::Map::find).
+  TcpConn* find_connection(std::uint32_t rip, std::uint16_t lport,
+                           std::uint16_t rport) const noexcept {
+    TcpConn* const* c = conns_.find(conn_key(rip, lport, rport));
+    return c != nullptr ? *c : nullptr;
+  }
+
   /// Test/diagnostic hook: clamp the advertised receive window (simulates a
   /// slow application not draining its socket buffer).  Pass ~0u to clear.
   void set_receive_window_override(std::uint32_t w) {

@@ -118,6 +118,18 @@ class Map {
     return std::nullopt;
   }
 
+  /// Look a key up by walking its bucket's chain only: no one-entry cache
+  /// probe or update, no stats, nothing traced.  For harness bookkeeping
+  /// (tearing down one known flow) that must not perturb the demux state
+  /// the protocol's own lookups see.
+  const V* find(const MapKey& key) const noexcept {
+    for (std::uint32_t e = buckets_[index(key)].head; e != kNil;
+         e = entries_[e].next) {
+      if (entries_[e].key == key) return &entries_[e].value;
+    }
+    return nullptr;
+  }
+
   /// Remove a binding; returns true when it existed.  The non-empty bucket
   /// list is deliberately NOT updated (lazy removal).
   bool unbind(const MapKey& key) {

@@ -106,6 +106,33 @@ TEST(ArgParseTest, MissingAndInvalidValuesFail) {
   }
 }
 
+// The whole-token parses every tool's positional and custom-option lambda
+// goes through: a trailing token, a non-number or an empty token fails and
+// leaves the target alone.
+TEST(ArgParseTest, WholeTokenNumberParsesRejectMalformedTokens) {
+  std::uint64_t u = 7;
+  for (const char* bad :
+       {"8x", "abc", "", "-1", "1.5", "18446744073709551616"}) {
+    EXPECT_FALSE(harness::parse_unsigned(bad, &u)) << bad;
+  }
+  EXPECT_EQ(u, 7u);
+  EXPECT_TRUE(harness::parse_unsigned("128", &u));
+  EXPECT_EQ(u, 128u);
+
+  std::uint32_t narrow = 3;
+  EXPECT_FALSE(harness::parse_unsigned("4294967296", &narrow));
+  EXPECT_TRUE(harness::parse_unsigned("4294967295", &narrow));
+  EXPECT_EQ(narrow, 4294967295u);
+
+  double d = 1.1;
+  for (const char* bad : {"abc", "1.2x", ""}) {
+    EXPECT_FALSE(harness::parse_double(bad, &d)) << bad;
+  }
+  EXPECT_EQ(d, 1.1);
+  EXPECT_TRUE(harness::parse_double("0.5", &d));
+  EXPECT_EQ(d, 0.5);
+}
+
 TEST(ArgParseTest, ExcessPositionalFails) {
   ArgParser p("demo", "demo tool");
   std::vector<std::string> args = {"demo", "stray"};

@@ -245,7 +245,7 @@ TEST(LbWorld, DeterministicAcrossIdenticalRuns) {
 // conservation under chaos, steering verdicts, and the runner overload.
 
 harness::LbSpec harness_row(const char* label, std::size_t backends,
-                            const harness::LbCostTable& costs) {
+                            const harness::BurstCostTable& costs) {
   (void)costs;
   harness::LbSpec s;
   s.label = label;
@@ -258,20 +258,23 @@ harness::LbSpec harness_row(const char* label, std::size_t backends,
   return s;
 }
 
-const harness::LbCostTable& pin_costs() {
-  static const harness::LbCostTable t =
+const harness::BurstCostTable& pin_costs() {
+  static const harness::BurstCostTable t =
       harness::measure_lb_costs(code::StackConfig::Pin());
   return t;
 }
 
 TEST(LbHarness, CostTableSlowRebindExceedsPinnedFastPath) {
-  const harness::LbCostTable& t = pin_costs();
+  const harness::BurstCostTable& t = pin_costs();
   EXPECT_EQ(t.config_name, "PIN");
+  EXPECT_EQ(t.kind, net::StackKind::kLb);
   EXPECT_GT(t.controller_us, 0.0);
-  EXPECT_GT(t.fast_us, 0.0);
+  ASSERT_EQ(t.positions(), 1u);
+  ASSERT_EQ(t.slow_us.size(), 1u);
+  EXPECT_GT(t.fast_us[0], 0.0);
   // The rebind replays the same forward plus Maglev hash + probe through
   // the cold-segment standalone placements: strictly more work.
-  EXPECT_GT(t.slow_us, t.fast_us);
+  EXPECT_GT(t.slow_us[0], t.fast_us[0]);
 }
 
 TEST(LbHarness, ChaosFreeRowConservesAndPinsDigest) {
@@ -281,7 +284,7 @@ TEST(LbHarness, ChaosFreeRowConservesAndPinsDigest) {
   EXPECT_EQ(a.lost_packets, 0u);
   EXPECT_EQ(a.packets_sampled, a.scheduled_sampled + a.handshake_sampled);
   EXPECT_EQ(a.slow_forwards, 0u);
-  EXPECT_EQ(a.track.stale_hits, 0u);
+  EXPECT_EQ(a.cache.stale_hits, 0u);
   EXPECT_TRUE(a.rebuilds.empty());
   EXPECT_EQ(a.disrupted_samples, 0u);
   EXPECT_EQ(a.steady_samples, a.packets_sampled);
@@ -302,7 +305,7 @@ TEST(LbHarness, DrainWindowLosesNoEstablishedFlowPackets) {
   EXPECT_EQ(r.lost_packets, 0u);
   EXPECT_EQ(r.reconnects, 0u);
   EXPECT_EQ(r.scheduled_sampled, s.packets);
-  EXPECT_EQ(r.track.stale_hits, 0u);
+  EXPECT_EQ(r.cache.stale_hits, 0u);
 
   ASSERT_EQ(r.rebuilds.size(), 2u);
   EXPECT_EQ(r.rebuilds[0].cause, net::LbRebuildCause::kDrain);
@@ -331,7 +334,7 @@ TEST(LbHarness, CrashFailoverIsDetectedSteeredAndRestored) {
             static_cast<double>((s.health.fail_threshold + 2) *
                                 s.health.interval_us));
   EXPECT_TRUE(r.windows[0].restored);
-  EXPECT_EQ(r.backend_incarnations, s.backends + 1);  // one reboot
+  EXPECT_EQ(r.fallout.incarnations, s.backends + 1);  // one reboot
 
   // The eviction rebuild invalidated the crashed backend's pinned flows.
   bool saw_down = false;
@@ -360,7 +363,7 @@ TEST(LbHarness, RunnerOverloadEmitsSchemaAndIsWorkerInvariant) {
   rs.common.workers = 3;
   const harness::Outcome three = harness::run(rs);
 
-  EXPECT_EQ(one.schema, "l96.lb.v1");
+  EXPECT_EQ(one.schema, "l96.lb.v2");
   ASSERT_EQ(one.lb.size(), 2u);
   ASSERT_EQ(three.lb.size(), 2u);
   EXPECT_EQ(one.lb[0].sample_digest, three.lb[0].sample_digest);

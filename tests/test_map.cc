@@ -424,6 +424,44 @@ TEST_P(MapPool, MatchesLinkedListReferenceUnderChurn) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MapPool,
                          ::testing::Values(3ull, 77ull, 0xC0FFEEull));
 
+// find() is the harness's keyed lookup (tearing down one known flow): it
+// must answer like resolve() while leaving the one-entry cache slot and
+// every stat exactly where the protocol's own lookups left them.
+TEST_F(MapTest, ConstFindLeavesCacheSlotAndStatsUnchanged) {
+  Map<int> m(arena, 8);  // 8 buckets, 40 keys: chains several deep
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    m.bind(k(i), static_cast<int>(i));
+  }
+  m.resolve(k(3));  // park the one-entry cache on a known entry
+  const MapStats before = m.stats();
+  const SimAddr slot = m.cache_slot_sim();
+  const Map<int>& cm = m;
+  for (std::uint64_t i = 0; i < 48; ++i) {
+    const int* v = cm.find(k(i));
+    if (i < 40) {
+      ASSERT_NE(v, nullptr) << i;
+      EXPECT_EQ(*v, static_cast<int>(i));
+    } else {
+      EXPECT_EQ(v, nullptr) << i;  // never bound
+    }
+    ASSERT_EQ(m.cache_slot_sim(), slot) << i;
+  }
+  const MapStats& after = m.stats();
+  EXPECT_EQ(after.lookups, before.lookups);
+  EXPECT_EQ(after.cache_hits, before.cache_hits);
+  EXPECT_EQ(after.binds, before.binds);
+  EXPECT_EQ(after.unbinds, before.unbinds);
+  EXPECT_EQ(after.traversals, before.traversals);
+  EXPECT_EQ(after.buckets_walked, before.buckets_walked);
+  EXPECT_EQ(after.lazy_unlinks, before.lazy_unlinks);
+  // The parked entry still hits: find() did not move the cache off it.
+  m.resolve(k(3));
+  EXPECT_EQ(m.stats().cache_hits, before.cache_hits + 1);
+  // An unbound key is gone from find() too.
+  ASSERT_TRUE(m.unbind(k(7)));
+  EXPECT_EQ(cm.find(k(7)), nullptr);
+}
+
 TEST_F(MapTest, UntracedResolveLeavesSameStatsAndCache) {
   SimAlloc other;
   Map<int> traced(arena, 16);

@@ -83,7 +83,7 @@ TEST(RecoveryTest, BlackoutWindowIsDarkAndRecovers) {
   EXPECT_EQ(r.windows[0].samples_in_window, 0u);  // goodput zero in the dark
   EXPECT_TRUE(r.windows[0].recovered);
   EXPECT_GE(r.windows[0].ttr_us, 0.0);
-  EXPECT_GT(r.blackout_drops, 0u);
+  EXPECT_GT(r.fallout.blackout_drops, 0u);
   // Conservation: every scheduled packet was priced, dropped in churn, or
   // lost to the disruption.
   EXPECT_EQ(r.fleet.spec.packets, r.fleet.scheduled_sampled +
@@ -101,9 +101,11 @@ TEST(RecoveryTest, CrashRebootReconnectsAndPricesTheTail) {
   EXPECT_EQ(r.windows[0].samples_in_window, 0u);  // a corpse delivers nothing
   EXPECT_TRUE(r.windows[0].recovered);
   EXPECT_GE(r.windows[0].ttr_us, 0.0);
-  EXPECT_EQ(r.server_incarnation, 2u);
+  EXPECT_EQ(r.fallout.incarnations, 2u);
   EXPECT_GE(r.reconnects, 1u);
-  EXPECT_GT(r.frames_to_dead + r.blackout_drops + r.rst_sent, 0u);
+  EXPECT_GT(r.fallout.frames_to_dead + r.fallout.blackout_drops +
+                r.fallout.rst_sent,
+            0u);
   EXPECT_EQ(r.fleet.spec.packets, r.fleet.scheduled_sampled +
                                       r.fleet.dropped_in_churn +
                                       r.lost_packets);
@@ -145,7 +147,7 @@ TEST(RecoveryTest, JsonSectionIsSchemaVersioned) {
   const harness::Json* schema = j.find("schema");
   ASSERT_NE(schema, nullptr);
   ASSERT_NE(schema->as_string(), nullptr);
-  EXPECT_EQ(*schema->as_string(), "l96.recovery.v1");
+  EXPECT_EQ(*schema->as_string(), "l96.recovery.v2");
 }
 
 TEST(RecoveryTest, RejectsClientCrashAndRpc) {

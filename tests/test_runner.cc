@@ -88,7 +88,7 @@ TEST(RunnerTest, OutcomeCarriesTheFamilySection) {
   rs.costs = tcp_table();
   const Outcome rec = harness::run(rs);
   ASSERT_EQ(rec.recovery.size(), 1u);
-  EXPECT_EQ(rec.schema, "l96.recovery.v1");
+  EXPECT_EQ(rec.schema, "l96.recovery.v2");
   // Chaos-free recovery must still match the 1-core fleet row.
   EXPECT_EQ(rec.recovery[0].fleet.sample_digest,
             harness::run_sharded_fleet({.fleet = rs.rows[0].fleet},

@@ -48,16 +48,28 @@ TEST(SectionManifestTest, FindSectionMatchesManifest) {
 }
 
 TEST(SectionManifestTest, LbFailoverSectionIsRegistered) {
-  const auto* lb = find_section("lb", 1);
+  const auto* lb = find_section("lb", 2);
   ASSERT_NE(lb, nullptr);
   EXPECT_EQ(lb->producer, "harness::lb_json");
-  const Json section = emit_section("lb", 1);
-  EXPECT_EQ(section.dump(), "{\"schema\":\"l96.lb.v1\"}");
+  const Json section = emit_section("lb", 2);
+  EXPECT_EQ(section.dump(), "{\"schema\":\"l96.lb.v2\"}");
+}
+
+// Recovery and LB rows print the shard counter block since v2; their v1
+// key orders are retired.
+TEST(SectionManifestTest, FailoverSectionsAreV2Only) {
+  const auto* recovery = find_section("recovery", 2);
+  ASSERT_NE(recovery, nullptr);
+  EXPECT_EQ(recovery->producer, "harness::recovery_json");
+  EXPECT_EQ(find_section("recovery", 1), nullptr);
+  EXPECT_EQ(find_section("lb", 1), nullptr);
+  EXPECT_THROW(emit_section("recovery", 1), std::invalid_argument);
+  EXPECT_THROW(emit_section("lb", 1), std::invalid_argument);
 }
 
 TEST(SectionSchemaTest, FormatsAndValidates) {
   EXPECT_EQ(section_schema("shard", 2), "l96.shard.v2");
-  EXPECT_EQ(section_schema("lb", 1), "l96.lb.v1");
+  EXPECT_EQ(section_schema("lb", 2), "l96.lb.v2");
   EXPECT_THROW(section_schema("", 1), std::invalid_argument);
   EXPECT_THROW(section_schema("Fleet", 1), std::invalid_argument);
   EXPECT_THROW(section_schema("fle et", 1), std::invalid_argument);

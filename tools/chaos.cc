@@ -11,13 +11,12 @@
 // point).  `scheme` is one-behind | direct | lru.  --keepalive arms client
 // and server keepalive probing (interval = IDLE_US / 2, 2 probes);
 // --syn-retries bounds the reconnect storm's SYN retransmissions.
-// --out writes the l96.recovery.v1 section to FILE.
+// --out writes the l96.recovery.v2 section to FILE.
 //
 // Exit status: 0 on success, 1 when a recovery invariant fails (packet
 // conservation, deliveries inside a blackout/crash window, an unrecovered
 // window), 2 on usage errors.
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -51,9 +50,11 @@ int main(int argc, char** argv) {
   parser.add_option("keepalive", "IDLE_US",
                     "arm keepalive probing (interval = IDLE_US/2, 2 probes)",
                     [&](const std::string& v) {
-                      spec.keepalive_idle_us =
-                          std::strtoull(v.c_str(), nullptr, 10);
-                      if (spec.keepalive_idle_us == 0) return false;
+                      if (!harness::parse_unsigned(
+                               v, &spec.keepalive_idle_us) ||
+                          spec.keepalive_idle_us == 0) {
+                        return false;
+                      }
                       spec.keepalive_intvl_us = spec.keepalive_idle_us / 2;
                       spec.keepalive_probes = 2;
                       return true;
@@ -61,15 +62,13 @@ int main(int argc, char** argv) {
   parser.add_option("syn-retries", "N",
                     "bound the reconnect storm's SYN retransmissions",
                     [&](const std::string& v) {
-                      spec.max_syn_rexmts = static_cast<std::uint32_t>(
-                          std::strtoul(v.c_str(), nullptr, 10));
-                      return true;
+                      return harness::parse_unsigned(v, &spec.max_syn_rexmts);
                     });
   parser.add_option("seed", "N", "deterministic schedule seed", &seed);
   parser.add_option("workers", "N",
                     "worker threads (0 = hardware concurrency)", &workers);
   parser.add_option("out", "FILE",
-                    "write the l96.recovery.v1 section to FILE", &out_path);
+                    "write the l96.recovery.v2 section to FILE", &out_path);
   parser.add_positional("scheme", "one-behind|direct|lru (default lru)",
                         [&](const std::string& v) {
                           const auto s = code::flow_cache_scheme_from_string(v);
@@ -79,31 +78,29 @@ int main(int argc, char** argv) {
                         });
   parser.add_positional("connections", "fleet population (default 8)",
                         [&](const std::string& v) {
-                          spec.fleet.connections =
-                              std::strtoull(v.c_str(), nullptr, 10);
-                          return spec.fleet.connections > 0;
+                          return harness::parse_unsigned(
+                                     v, &spec.fleet.connections) &&
+                                 spec.fleet.connections > 0;
                         });
   parser.add_positional("packets", "scheduled packets (default 128)",
                         [&](const std::string& v) {
-                          spec.fleet.packets =
-                              std::strtoull(v.c_str(), nullptr, 10);
-                          return spec.fleet.packets > 0;
+                          return harness::parse_unsigned(
+                                     v, &spec.fleet.packets) &&
+                                 spec.fleet.packets > 0;
                         });
   parser.add_positional("zipf_s", "Zipf exponent (default 1.1)",
                         [&](const std::string& v) {
-                          spec.fleet.zipf_s = std::strtod(v.c_str(), nullptr);
-                          return true;
+                          return harness::parse_double(v, &spec.fleet.zipf_s);
                         });
   parser.add_positional("seed", "schedule seed (default 1)",
                         [&](const std::string& v) {
-                          seed = std::strtoull(v.c_str(), nullptr, 10);
-                          return true;
+                          return harness::parse_unsigned(v, &seed);
                         });
   parser.add_positional("capacity", "flow-cache capacity (default 8)",
                         [&](const std::string& v) {
-                          spec.fleet.cache_capacity =
-                              std::strtoull(v.c_str(), nullptr, 10);
-                          return spec.fleet.cache_capacity > 0;
+                          return harness::parse_unsigned(
+                                     v, &spec.fleet.cache_capacity) &&
+                                 spec.fleet.cache_capacity > 0;
                         });
   if (!parser.parse(argc, argv)) return parser.help_shown() ? 0 : 2;
   spec.fleet.seed = seed;
@@ -145,19 +142,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.fleet.scheduled_sampled),
               static_cast<unsigned long long>(r.lost_packets),
               static_cast<unsigned long long>(r.reconnects),
-              r.server_incarnation);
+              r.fallout.incarnations);
   std::printf("  rexmt=%llu syn_rexmt=%llu connect_failures=%llu "
               "ka_probes=%llu ka_reaps=%llu rst=%llu\n",
-              static_cast<unsigned long long>(r.client_retransmits),
-              static_cast<unsigned long long>(r.client_syn_retransmits),
-              static_cast<unsigned long long>(r.connect_failures),
-              static_cast<unsigned long long>(r.keepalive_probes_sent),
-              static_cast<unsigned long long>(r.keepalive_reaps),
-              static_cast<unsigned long long>(r.rst_sent));
+              static_cast<unsigned long long>(r.fallout.client_retransmits),
+              static_cast<unsigned long long>(r.fallout.client_syn_retransmits),
+              static_cast<unsigned long long>(r.fallout.connect_failures),
+              static_cast<unsigned long long>(r.fallout.keepalive_probes_sent),
+              static_cast<unsigned long long>(r.fallout.keepalive_reaps),
+              static_cast<unsigned long long>(r.fallout.rst_sent));
   std::printf("  blackout_drops=%llu frames_to_dead=%llu purged_events=%llu\n",
-              static_cast<unsigned long long>(r.blackout_drops),
-              static_cast<unsigned long long>(r.frames_to_dead),
-              static_cast<unsigned long long>(r.purged_events));
+              static_cast<unsigned long long>(r.fallout.blackout_drops),
+              static_cast<unsigned long long>(r.fallout.frames_to_dead),
+              static_cast<unsigned long long>(r.fallout.purged_events));
   for (const harness::RecoveryWindow& w : r.windows) {
     std::printf("  window %s [%llu, %llu)us: in_window=%llu recovered=%d "
                 "ttr=%.1fus\n",

@@ -34,7 +34,6 @@
 // --arrival-us or zipf_s) or a failed shard invariant, 2 on usage errors.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -67,8 +66,8 @@ int main(int argc, char** argv) {
   common.add_to(parser);
   parser.add_option("burst", "N", "packets per scheduled flow draw (>0)",
                     [&](const std::string& v) {
-                      spec.batch = std::strtoull(v.c_str(), nullptr, 10);
-                      return spec.batch > 0;
+                      return harness::parse_unsigned(v, &spec.batch) &&
+                             spec.batch > 0;
                     });
   std::uint64_t cores = 1;
   parser.add_option("cores", "N", "simulated cores to shard across (>0)",
@@ -83,13 +82,11 @@ int main(int argc, char** argv) {
                     "decoy classifier paths on the server; measured "
                     "flow-cache costs (default 0 = analytic)",
                     [&](const std::string& v) {
-                      spec.rules = std::strtoull(v.c_str(), nullptr, 10);
-                      return true;
+                      return harness::parse_unsigned(v, &spec.rules);
                     });
   parser.add_option("rule-seed", "N", "rule-generator seed (default 1)",
                     [&](const std::string& v) {
-                      spec.rule_seed = std::strtoull(v.c_str(), nullptr, 10);
-                      return true;
+                      return harness::parse_unsigned(v, &spec.rule_seed);
                     });
   parser.add_positional("stack", "tcp|rpc (default tcp)",
                         [&](const std::string& v) {
@@ -108,35 +105,33 @@ int main(int argc, char** argv) {
                         });
   parser.add_positional("connections", "fleet population (default 8)",
                         [&](const std::string& v) {
-                          spec.connections = std::strtoull(v.c_str(), nullptr, 10);
-                          return spec.connections > 0;
+                          return harness::parse_unsigned(
+                                     v, &spec.connections) &&
+                                 spec.connections > 0;
                         });
   parser.add_positional("packets", "scheduled packets (default 128)",
                         [&](const std::string& v) {
-                          spec.packets = std::strtoull(v.c_str(), nullptr, 10);
-                          return spec.packets > 0;
+                          return harness::parse_unsigned(v, &spec.packets) &&
+                                 spec.packets > 0;
                         });
   parser.add_positional("zipf_s", "Zipf exponent (default 1.1)",
                         [&](const std::string& v) {
-                          spec.zipf_s = std::strtod(v.c_str(), nullptr);
-                          return true;
+                          return harness::parse_double(v, &spec.zipf_s);
                         });
   parser.add_positional("seed", "schedule seed (default 1)",
                         [&](const std::string& v) {
-                          common.seed = std::strtoull(v.c_str(), nullptr, 10);
-                          return true;
+                          return harness::parse_unsigned(v, &common.seed);
                         });
   parser.add_positional("capacity", "flow-cache capacity (default 8)",
                         [&](const std::string& v) {
-                          spec.cache_capacity =
-                              std::strtoull(v.c_str(), nullptr, 10);
-                          return spec.cache_capacity > 0;
+                          return harness::parse_unsigned(
+                                     v, &spec.cache_capacity) &&
+                                 spec.cache_capacity > 0;
                         });
   parser.add_positional("churn_every",
                         "churn flow 0 every N packets (default 0 = never)",
                         [&](const std::string& v) {
-                          spec.churn_every = std::strtoull(v.c_str(), nullptr, 10);
-                          return true;
+                          return harness::parse_unsigned(v, &spec.churn_every);
                         });
   if (!parser.parse(argc, argv)) return parser.help_shown() ? 0 : 2;
   if (cores == 0) {

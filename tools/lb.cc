@@ -11,13 +11,12 @@
 // (times are virtual microseconds relative to the post-establishment
 // reset point).  The config must carry path inlining — the stale-rebind
 // slow path is what failover prices — so only pin and all are offered.
-// --out writes the l96.lb.v1 section to FILE.
+// --out writes the l96.lb.v2 section to FILE.
 //
 // Exit status: 0 on success, 1 when a failover invariant fails (packet
 // conservation, a drain window losing established-flow packets, a window
 // never steered away from or never restored), 2 on usage errors.
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -68,40 +67,37 @@ int main(int argc, char** argv) {
                     });
   parser.add_option("capacity", "N", "conn-track capacity (default 1024)",
                     [&](const std::string& v) {
-                      spec.track_capacity =
-                          std::strtoull(v.c_str(), nullptr, 10);
-                      return spec.track_capacity > 0;
+                      return harness::parse_unsigned(v, &spec.track_capacity) &&
+                             spec.track_capacity > 0;
                     });
   parser.add_option("seed", "N", "deterministic schedule seed", &seed);
   parser.add_option("workers", "N",
                     "worker threads (0 = hardware concurrency)", &workers);
-  parser.add_option("out", "FILE", "write the l96.lb.v1 section to FILE",
+  parser.add_option("out", "FILE", "write the l96.lb.v2 section to FILE",
                     &out_path);
   parser.add_positional("backends", "backend pool size (default 4)",
                         [&](const std::string& v) {
-                          spec.backends = std::strtoull(v.c_str(), nullptr, 10);
-                          return spec.backends > 0;
+                          return harness::parse_unsigned(v, &spec.backends) &&
+                                 spec.backends > 0;
                         });
   parser.add_positional("connections", "client fleet size (default 8)",
                         [&](const std::string& v) {
-                          spec.connections =
-                              std::strtoull(v.c_str(), nullptr, 10);
-                          return spec.connections > 0;
+                          return harness::parse_unsigned(
+                                     v, &spec.connections) &&
+                                 spec.connections > 0;
                         });
   parser.add_positional("packets", "scheduled packets (default 256)",
                         [&](const std::string& v) {
-                          spec.packets = std::strtoull(v.c_str(), nullptr, 10);
-                          return spec.packets > 0;
+                          return harness::parse_unsigned(v, &spec.packets) &&
+                                 spec.packets > 0;
                         });
   parser.add_positional("zipf_s", "Zipf exponent (default 1.1)",
                         [&](const std::string& v) {
-                          spec.zipf_s = std::strtod(v.c_str(), nullptr);
-                          return true;
+                          return harness::parse_double(v, &spec.zipf_s);
                         });
   parser.add_positional("seed", "schedule seed (default 1)",
                         [&](const std::string& v) {
-                          seed = std::strtoull(v.c_str(), nullptr, 10);
-                          return true;
+                          return harness::parse_unsigned(v, &seed);
                         });
   if (!parser.parse(argc, argv)) return parser.help_shown() ? 0 : 2;
   spec.seed = seed;
@@ -115,7 +111,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const harness::LbCostTable costs =
+  const harness::BurstCostTable costs =
       harness::measure_lb_costs(spec.config, spec.params);
   harness::LbRunSpec rs;
   rs.common.workers = workers;
@@ -137,7 +133,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(spec.seed));
   std::printf("  script: %s\n", spec.chaos.str().c_str());
   std::printf("  costs: controller=%.3fus fast=%.3fus slow=%.3fus (%s)\n",
-              costs.controller_us, costs.fast_us, costs.slow_us,
+              costs.controller_us, costs.fast_us[0], costs.slow_us[0],
               costs.config_name.c_str());
   std::printf("  sampled=%llu scheduled=%llu lost=%llu reconnects=%llu "
               "incarnations=%u\n",
@@ -145,7 +141,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.scheduled_sampled),
               static_cast<unsigned long long>(r.lost_packets),
               static_cast<unsigned long long>(r.reconnects),
-              r.backend_incarnations);
+              r.fallout.incarnations);
   std::printf("  forwards=%llu slow=%llu returns=%llu no_backend=%llu "
               "dark=%llu probes=%llu\n",
               static_cast<unsigned long long>(r.forwards),
@@ -155,9 +151,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.dark_forwards),
               static_cast<unsigned long long>(r.health_probes));
   std::printf("  track: hits=%llu misses=%llu stale=%llu\n",
-              static_cast<unsigned long long>(r.track.hits),
-              static_cast<unsigned long long>(r.track.misses),
-              static_cast<unsigned long long>(r.track.stale_hits));
+              static_cast<unsigned long long>(r.cache.hits),
+              static_cast<unsigned long long>(r.cache.misses),
+              static_cast<unsigned long long>(r.cache.stale_hits));
   for (const net::LbRebuild& rb : r.rebuilds) {
     std::printf("  rebuild @%lluus %s backend%u: remapped=%zu "
                 "invalidated=%zu pool=%zu\n",

@@ -11,7 +11,6 @@
 // section to stdout instead of the summary line; --out also writes it to
 // FILE.  Exit status is 0 iff the soak was clean.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -44,24 +43,20 @@ int main(int argc, char** argv) {
                         });
   parser.add_positional("roundtrips", "request/response count (default 5000)",
                         [&](const std::string& v) {
-                          spec.roundtrips = std::strtoull(v.c_str(), nullptr, 10);
-                          return true;
+                          return harness::parse_unsigned(v, &spec.roundtrips);
                         });
   parser.add_positional("seed", "fault-plan seed (default 1)",
                         [&](const std::string& v) {
-                          common.seed = std::strtoull(v.c_str(), nullptr, 10);
-                          return true;
+                          return harness::parse_unsigned(v, &common.seed);
                         });
   parser.add_positional("rate%", "combined drop+corrupt+duplicate %, "
                                  "split 2:2:1 (default 5)",
                         [&](const std::string& v) {
-                          rate_pct = std::strtod(v.c_str(), nullptr);
-                          return true;
+                          return harness::parse_double(v, &rate_pct);
                         });
   parser.add_positional("msg_bytes", "request payload bytes (default 32)",
                         [&](const std::string& v) {
-                          spec.msg_bytes = std::strtoull(v.c_str(), nullptr, 10);
-                          return true;
+                          return harness::parse_unsigned(v, &spec.msg_bytes);
                         });
   if (!parser.parse(argc, argv)) return parser.help_shown() ? 0 : 2;
 
