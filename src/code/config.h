@@ -71,9 +71,6 @@ struct StackConfig {
   bool header_prediction = false;     ///< BSD header prediction (off: it
                                       ///< hurts bi-directional connections)
 
-  // ---- derived helpers ---------------------------------------------------
-  bool any_cloning_layout() const noexcept { return cloning; }
-
   static StackConfig Std() { return with_name("STD"); }
   static StackConfig Out() {
     auto c = with_name("OUT");

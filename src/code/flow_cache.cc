@@ -159,14 +159,13 @@ FlowLookupResult FlowCache::lookup_impl(const PacketClassifier& classifier,
                                         const PathResolver* resolver) {
   ++stats_.lookups;
   ++clock_;
-  if (probe_log_ != nullptr) probe_log_->clear();
   FlowLookupResult r;
 
   const std::optional<FlowKey> key = spec_.key_of(frame);
   if (!key.has_value()) {
     // No key: classify directly, nothing to memoize.
     ++stats_.unkeyed;
-    const ClassifyScan scan = classifier.classify_scan(frame, probe_log_);
+    const ClassifyScan scan = classifier.classify_scan(frame);
     apply_scan(r, scan, costs_);
     if (!scan.path_id.has_value()) ++stats_.unmatched_scans;
     stats_.rules_examined += scan.rules_examined;
@@ -198,7 +197,7 @@ FlowLookupResult FlowCache::lookup_impl(const PacketClassifier& classifier,
     ++stats_.misses;
   }
 
-  const ClassifyScan scan = classifier.classify_scan(frame, probe_log_);
+  const ClassifyScan scan = classifier.classify_scan(frame);
   std::optional<int> bound = scan.path_id;
   if (resolver != nullptr && scan.path_id.has_value()) {
     const int b = (*resolver)(*key);

@@ -14,8 +14,8 @@
 // A FlowCache extracts a flow key from configurable frame fields and
 // memoizes classify() results per flow.  Each lookup is priced by an
 // explicit cost model — a cache hit costs `hit_us`; a miss pays the probe
-// plus the linear scan at `per_rule_us` per rule examined — replacing the
-// single flat `overhead_us` knob of the bare classifier.
+// plus the scan at `per_rule_us` per rule examined.  This is the only
+// place a classification is charged; the classifier itself has no cost.
 //
 // Connection churn makes cached flow bindings *stale*: when a connection
 // closes and its flow key is later rebound, a path-inlined composite
@@ -71,8 +71,7 @@ const char* to_string(FlowCacheScheme s);
 std::optional<FlowCacheScheme> flow_cache_scheme_from_string(
     std::string_view s);
 
-/// Per-lookup cost model, in microseconds (replaces the bare classifier's
-/// flat overhead_us when a FlowCache is installed).
+/// Per-lookup cost model, in microseconds.
 ///
 /// Exactly one of two provenances fills the coefficients:
 ///  * analytic — the historical hand-set defaults below (Jain-style
@@ -196,12 +195,6 @@ class FlowCache {
   /// analytic conflict pairs).
   std::size_t slot_of(FlowKey key) const noexcept;
 
-  /// Attach a probe log the classifier fills on every scan this cache
-  /// triggers (cleared at the start of each lookup); a capturing Host
-  /// reads it to emit the lookup's code-model trace.  Pass nullptr to
-  /// detach.
-  void set_probe_log(ClassifyProbeLog* log) noexcept { probe_log_ = log; }
-
  private:
   struct Entry {
     FlowKey key = 0;
@@ -224,7 +217,6 @@ class FlowCache {
   std::vector<Entry> entries_;
   std::uint64_t clock_ = 0;
   FlowCacheStats stats_;
-  ClassifyProbeLog* probe_log_ = nullptr;
 };
 
 }  // namespace l96::code

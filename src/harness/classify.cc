@@ -24,7 +24,7 @@ void put32(std::vector<std::uint8_t>& f, std::size_t off, std::uint32_t v) {
 }
 
 /// A FlowLookupResult describing a cache miss whose scan was `scan` — the
-/// shape net::Host hands trace_classification after a real lookup.
+/// shape FlowCache::lookup returns for a real miss.
 code::FlowLookupResult miss_result(const code::ClassifyScan& scan) {
   code::FlowLookupResult lr;
   lr.path_id = scan.path_id;
@@ -67,17 +67,8 @@ std::vector<std::uint8_t> classifier_nomatch_frame() {
 
 ClassifierCostMeasurement measure_classifier_costs(
     const ClassifierCostSpec& spec) {
-  if (spec.params.classifier_overhead_us != 0.0) {
-    throw std::invalid_argument(
-        "measure_classifier_costs: classifier_overhead_us must be 0 — the "
-        "measured FlowCacheCosts model and the flat analytic knob are "
-        "mutually exclusive (one classification cost model per "
-        "measurement)");
-  }
-
-  // The registry a scaled-classifier Host would carry: full stack code (the
-  // image declares the inlined paths from it) plus the lookup's own
-  // functions.
+  // Full stack code (the image declares the inlined paths from it) plus the
+  // lookup's own functions.
   code::CodeRegistry reg;
   proto::register_common_code(reg, spec.cfg);
   if (spec.kind == net::StackKind::kTcpIp) {
@@ -118,8 +109,8 @@ ClassifierCostMeasurement measure_classifier_costs(
         "generator / frame synthesis drifted)");
   }
 
-  // The three canonical activations, recorded exactly as a capturing Host
-  // emits them (protocols/stack_code.h trace_classification).  One shared
+  // The three canonical activations (protocols/stack_code.h
+  // trace_classification).  One shared
   // cache-entry address: the lookup code is the same whichever slot the
   // flow hashes to.
   const std::uint64_t entry = proto::flow_cache_entry_addr(0);

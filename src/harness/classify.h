@@ -20,10 +20,10 @@
 //   match    : cache miss, scan ends at the real fast path
 //   nomatch  : cache miss, scan rejects every rule set
 //
-// — as recorded traces (the same trace_classification emission a capturing
-// net::Host produces), lower all three under ONE image built from the
-// match activation, replay them through the simulated memory hierarchy
-// (harness::measure_side), and fit
+// — as recorded traces (proto::trace_classification; this is the only
+// place classification code is traced), lower all three under ONE image
+// built from the match activation, replay them through the simulated
+// memory hierarchy (harness::measure_side), and fit
 //
 //   hit_us      = cost(hit)
 //   per_rule_us = (cost(nomatch) - cost(match)) / (rules(nomatch) - rules(match))
@@ -56,9 +56,6 @@ struct ClassifierCostSpec {
   /// Engine the scans run under; kAuto applies the size/degeneracy policy.
   code::PacketClassifier::Engine engine =
       code::PacketClassifier::Engine::kAuto;
-  /// Must have classifier_overhead_us == 0: the measured model and the
-  /// flat analytic knob are mutually exclusive (measure_classifier_costs
-  /// throws otherwise — the double-charge guard of the ablation benches).
   MachineParams params = MachineParams::defaults();
   /// Attach sim::MissProfiler to every replay (miss_cold / miss_steady on
   /// each SideMeasurement) for classifier-owner attribution checks.
@@ -79,10 +76,8 @@ struct ClassifierCostMeasurement {
   bool tuple_engine = false;         ///< engine that decided the scans
 };
 
-/// Measure and fit.  Throws std::invalid_argument when
-/// spec.params.classifier_overhead_us != 0 (exactly one classification
-/// cost model may be active), and std::logic_error if the synthesized
-/// frames stop matching the rule generator's real-path guarantee.
+/// Measure and fit.  Throws std::logic_error if the synthesized frames
+/// stop matching the rule generator's real-path guarantee.
 ClassifierCostMeasurement measure_classifier_costs(
     const ClassifierCostSpec& spec);
 

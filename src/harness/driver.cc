@@ -473,15 +473,6 @@ void check_costs(const char* caller, const FleetSpec& row,
   if (row.connections == 0 || row.packets == 0) {
     reject("connections and packets must be > 0");
   }
-  if (row.params.classifier_overhead_us != 0.0) {
-    // Exactly one classification cost model per measurement: driven rows
-    // price every lookup through FlowCacheCosts; the flat analytic knob
-    // belongs to the single-roundtrip te formulas (combine_sides), and
-    // accepting both would charge classification twice per packet.
-    reject("classifier_overhead_us must be 0 for fleet rows — "
-           "classification is priced via FlowCacheCosts, not the flat "
-           "analytic knob");
-  }
   if (costs.fast_us.empty() || costs.slow_us.size() != costs.fast_us.size()) {
     reject("malformed cost table (needs >= 1 position and equal "
            "fast/slow sizes)");

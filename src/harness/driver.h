@@ -146,9 +146,8 @@ Run drive(const Topology& topo, const Plan& plan);
 /// Whether `costs` can price the row — the checks every driven row shares.
 /// Throws std::invalid_argument, prefixed with `caller`, unless path
 /// inlining is on (the slow-path fallback is what the rows price), the
-/// population and schedule are non-empty, classifier_overhead_us is 0, and
-/// `costs` is well formed and was measured for the row's stack kind,
-/// config and params.
+/// population and schedule are non-empty, and `costs` is well formed and
+/// was measured for the row's stack kind, config and params.
 void check_costs(const char* caller, const FleetSpec& row,
                  const BurstCostTable& costs);
 

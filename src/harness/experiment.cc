@@ -154,14 +154,6 @@ struct Prelude {
   std::unique_ptr<sim::MissProfiler> prof;
 };
 
-/// One inbound classification per path-inlined side: charged to te_us by
-/// combine_sides() and to every te sample.
-double classifier_charge_us(bool client_inlined, bool server_inlined,
-                            const MachineParams& params) {
-  return (client_inlined ? params.classifier_overhead_us : 0.0) +
-         (server_inlined ? params.classifier_overhead_us : 0.0);
-}
-
 }  // namespace
 
 SideMeasurement measure_side(const MeasureSpec& spec) {
@@ -282,16 +274,12 @@ StreamMeasurement measure_stream(const StreamSpec& spec) {
 }
 
 ConfigResult combine_sides(SideMeasurement client, SideMeasurement server,
-                           double controller_us, bool client_inlined,
-                           bool server_inlined, const MachineParams& params) {
+                           double controller_us) {
   ConfigResult r;
   r.client = std::move(client);
   r.server = std::move(server);
-  const double classify =
-      classifier_charge_us(client_inlined, server_inlined, params);
-  r.te_us = controller_us + classify + r.client.critical_us +
-            r.server.critical_us;
-  r.te_adjusted = classify + r.client.critical_us + r.server.critical_us;
+  r.te_us = controller_us + r.client.critical_us + r.server.critical_us;
+  r.te_adjusted = r.client.critical_us + r.server.critical_us;
   return r;
 }
 
@@ -316,13 +304,10 @@ std::vector<double> measure_te_samples(const Capture& cap,
     return machine.run(t, steady_options(params, seed_offset))
         .processing_us(params.cpu.frequency_hz);
   };
-  const double fixed =
-      cap.controller_us +
-      classifier_charge_us(ccfg.path_inlining, scfg.path_inlining, params);
   std::vector<double> out;
   out.reserve(n);
   for (std::uint64_t k = 0; k < n; ++k) {
-    out.push_back(fixed + critical_us(c, 100 + 7 * k) +
+    out.push_back(cap.controller_us + critical_us(c, 100 + 7 * k) +
                   critical_us(s, 200 + 13 * k));
   }
   return out;
@@ -348,8 +333,7 @@ ConfigResult Experiment::run() {
   return combine_sides(
       measure_side(side_spec(cap, Side::kClient, client_cfg_, params_)),
       measure_side(side_spec(cap, Side::kServer, server_cfg_, params_)),
-      cap.controller_us, client_cfg_.path_inlining,
-      server_cfg_.path_inlining, params_);
+      cap.controller_us);
 }
 
 std::vector<double> Experiment::te_samples(std::uint64_t n_samples) {

@@ -47,11 +47,6 @@ struct MachineParams {
   std::uint32_t warmup_passes = 3;
   double scrub_fraction = 1.0;
   double scrub_fraction_d = 0.55;
-  /// Per-packet cost of the packet classifier guarding path-inlined inbound
-  /// code.  The paper measures 1-4 us for contemporary classifiers but
-  /// evaluates PIN/ALL with a zero-overhead classifier; set this to study
-  /// the tradeoff (bench_ablation_classifier).
-  double classifier_overhead_us = 0.0;
   std::uint64_t scrub_seed = 0x9E3779B97F4A7C15ULL;
 
   static MachineParams defaults() { return MachineParams{}; }
@@ -211,13 +206,11 @@ StreamMeasurement measure_stream(const StreamSpec& spec);
 
 /// Combine two side measurements into the end-to-end numbers (Tables 4/5).
 ConfigResult combine_sides(SideMeasurement client, SideMeasurement server,
-                           double controller_us, bool client_inlined,
-                           bool server_inlined, const MachineParams& params);
+                           double controller_us);
 
 /// `n` end-to-end samples that differ only in the scrub seed (Table 4's
-/// mean +/- sd).  Sample k is controller + classifier charge (as in
-/// combine_sides) + the client's critical prefix replayed at seed offset
-/// 100 + 7k + the server's at 200 + 13k.  Each side is imaged and lowered
+/// mean +/- sd).  Sample k is controller + the client's critical prefix
+/// replayed at seed offset 100 + 7k + the server's at 200 + 13k.  Each side is imaged and lowered
 /// once; every sample equals that sum over measure_side(...).critical_us
 /// at the same offsets, bit for bit (tested).
 std::vector<double> measure_te_samples(const Capture& cap,

@@ -31,7 +31,7 @@ std::uint64_t machine_params_key(const MachineParams& p) {
   fnv1a_value(h, p.warmup_passes);
   fnv1a_value(h, p.scrub_fraction);
   fnv1a_value(h, p.scrub_fraction_d);
-  fnv1a_value(h, p.classifier_overhead_us);
+  fnv1a_value(h, 0.0);  // retired field's slot: recorded keys stay valid
   fnv1a_value(h, p.scrub_seed);
   return h;
 }

@@ -50,7 +50,6 @@ class Json {
   bool is_object() const noexcept {
     return std::holds_alternative<Object>(v_);
   }
-  bool is_array() const noexcept { return std::holds_alternative<Array>(v_); }
 
   /// Append to an array (converts a null value to an array first).
   Json& push_back(Json v);

@@ -30,7 +30,6 @@ inline constexpr SectionInfo kSectionManifest[] = {
     {"shard", 2, "harness::shard_json"},
     {"lb", 2, "harness::lb_json"},
     {"soak", 1, "harness::run(SoakRunSpec)"},
-    {"stream", 1, "harness::run(StreamRunSpec)"},
 };
 
 /// Manifest lookup; nullptr when (name, version) is not a known section.

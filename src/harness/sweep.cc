@@ -101,9 +101,8 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& jobs) {
       MeasureSpec cspec = side_spec(cap, Side::kClient, job.client, job.params);
       MeasureSpec sspec = side_spec(cap, Side::kServer, job.server, job.params);
       cspec.profile_misses = sspec.profile_misses = job.profile_misses;
-      out[i].result = combine_sides(
-          measure_side(cspec), measure_side(sspec), cap.controller_us,
-          job.client.path_inlining, job.server.path_inlining, job.params);
+      out[i].result = combine_sides(measure_side(cspec), measure_side(sspec),
+                                    cap.controller_us);
       // te samples vary only the scrub seed and are never profiled.
       out[i].te_samples = measure_te_samples(
           cap, job.client, job.server, job.params, job.te_sample_count);

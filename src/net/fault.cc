@@ -18,11 +18,21 @@ const char* to_string(FaultKind k) {
 }
 
 void FaultInjector::set_plan(const FaultPlan& plan) {
-  plan_ = plan;
-  for (int p = 0; p < 2; ++p) {
-    if (plan_.rates[p].sum() > 1.0) {
+  for (const FaultRates& r : plan.rates) {
+    // Written so a NaN fails too: every comparison with NaN is false.
+    for (const double x : {r.drop, r.corrupt, r.duplicate, r.reorder,
+                           r.delay}) {
+      if (!(x >= 0.0 && x <= 1.0)) {
+        throw std::invalid_argument(
+            "each fault rate must be a probability in [0, 1]");
+      }
+    }
+    if (r.sum() > 1.0) {
       throw std::invalid_argument("fault rates for one direction exceed 1.0");
     }
+  }
+  plan_ = plan;
+  for (int p = 0; p < 2; ++p) {
     std::sort(plan_.scheduled[p].begin(), plan_.scheduled[p].end(),
               [](const ScheduledFault& a, const ScheduledFault& b) {
                 return a.frame_ix < b.frame_ix;

@@ -120,9 +120,6 @@ class FaultInjector {
 
   const FaultCounters& counters() const noexcept { return counters_; }
   const std::vector<FaultRecord>& log() const noexcept { return log_; }
-  std::uint64_t frames_seen(int port) const noexcept {
-    return frame_ix_[port];
-  }
 
  private:
   struct Forced {

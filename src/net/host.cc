@@ -177,7 +177,6 @@ void Host::enable_flow_cache(code::FlowCacheScheme scheme,
       kind_ == StackKind::kTcpIp ? proto::tcpip_flow_key_spec()
                                  : proto::rpc_flow_key_spec(),
       scheme, capacity, costs);
-  if (scaled_classifier_) flow_cache_->set_probe_log(&probe_log_);
   wire_flow_cache_hook();
 }
 
@@ -185,11 +184,6 @@ void Host::install_scaled_classifier(std::size_t decoy_rules,
                                      std::uint64_t seed) {
   classifier_ =
       proto::build_scaled_classifier(rule_set_kind(kind_), decoy_rules, seed);
-  if (!scaled_classifier_) {
-    proto::register_classifier_code(registry_, cfg_);
-    scaled_classifier_ = true;
-  }
-  if (flow_cache_ != nullptr) flow_cache_->set_probe_log(&probe_log_);
 }
 
 void Host::wire_flow_cache_hook() {
@@ -231,23 +225,6 @@ void Host::deliver(std::vector<std::uint8_t> frame) {
     code::FlowLookupResult lr;
     if (flow_cache_ != nullptr) {
       lr = flow_cache_->lookup(classifier_, frame);
-      if (capturing && scaled_classifier_) {
-        // The lookup's own code: cache probe + (on a miss) the scan the
-        // probe log describes.  Emitted before the protocol activation,
-        // exactly where the classifier runs.
-        std::optional<std::uint64_t> entry_addr;
-        if (const auto key = flow_cache_->key_spec().key_of(frame)) {
-          entry_addr = proto::flow_cache_entry_addr(flow_cache_->slot_of(*key));
-        }
-        proto::trace_classification(recorder_, registry_, lr, probe_log_,
-                                    entry_addr);
-      }
-    } else if (capturing && scaled_classifier_) {
-      probe_log_.clear();
-      const code::ClassifyScan scan =
-          classifier_.classify_scan(frame, &probe_log_);
-      lr.path_id = scan.path_id;
-      proto::trace_classifier_scan(recorder_, registry_, scan, probe_log_);
     } else {
       lr.path_id = classifier_.classify(frame);
     }

@@ -10,6 +10,12 @@
 // records the next such activation; tx_split() reports where in the event
 // stream the frame left for the wire, separating critical-path work from
 // overlapped work.
+//
+// With path-inlining on, deliver() classifies every inbound frame (through
+// the flow cache when one is installed), marks a mismatch as slow path,
+// and reports the lookup to the deliver hook.  The classification itself
+// is never traced: a capture holds protocol code only, and a lookup's cost
+// comes from the flow cache's FlowCacheCosts.
 #pragma once
 
 #include <functional>
@@ -113,16 +119,12 @@ class Host {
 
   /// Replace the default hand-written classifier with a scaled rule set:
   /// `decoy_rules` seeded synthetic paths (protocols/rulegen.h) ahead of
-  /// the real fast path.  Also registers the classifier's own code model
-  /// (proto::register_classifier_code) in this host's registry, and from
-  /// then on every captured activation carries the classification's
-  /// call/block/load events — so the lookup is priced by the simulated
-  /// caches, not by an analytic constant.  Opt-in: hosts that never call
-  /// this keep the default classifier, registry, and measured numbers
-  /// byte for byte.  With decoy_rules == 0 classification behavior is
-  /// identical to the default; only the trace emission is added.
+  /// the real fast path.  Classification decisions only: captures never
+  /// trace the lookup, which the flow cache's FlowCacheCosts prices
+  /// (harness::measure_classifier_costs fits them from the lookup's code
+  /// model).  With decoy_rules == 0 classification is identical to the
+  /// default.
   void install_scaled_classifier(std::size_t decoy_rules, std::uint64_t seed);
-  bool scaled_classifier() const noexcept { return scaled_classifier_; }
   std::uint64_t classifier_hits() const noexcept { return classifier_hits_; }
   std::uint64_t classifier_misses() const noexcept {
     return classifier_misses_;
@@ -238,10 +240,6 @@ class Host {
   // per-delivery observer the fleet engine samples through.
   std::unique_ptr<code::FlowCache> flow_cache_;
   DeliverHook deliver_hook_;
-  // Scaled-classifier state: set by install_scaled_classifier; the probe
-  // log collects the tuple engine's hash probes for trace emission.
-  bool scaled_classifier_ = false;
-  code::ClassifyProbeLog probe_log_;
 };
 
 }  // namespace l96::net

@@ -428,8 +428,4 @@ bool LbWorld::run_until_roundtrips(std::uint64_t n, std::uint64_t max_us) {
 
 std::uint32_t LbWorld::vip() const noexcept { return kVip; }
 
-const HostAddress& LbWorld::client_address() const {
-  return client_->address();
-}
-
 }  // namespace l96::net

@@ -282,7 +282,6 @@ class LbWorld {
   xk::EventManager& events() noexcept { return events_; }
 
   std::uint32_t vip() const noexcept;
-  const HostAddress& client_address() const;
 
  private:
   xk::EventManager events_;

@@ -693,6 +693,11 @@ void register_classifier_code(CodeRegistry& reg, const StackConfig& cfg) {
   }
 }
 
+namespace {
+
+/// One classifier scan's events: the tuple engine's hash/probe/verify
+/// calls driven by the recorded probe log, or the linear engine's per-rule
+/// blocks.
 void trace_classifier_scan(code::Recorder& rec, const code::CodeRegistry& reg,
                            const code::ClassifyScan& scan,
                            const code::ClassifyProbeLog& log) {
@@ -738,10 +743,12 @@ void trace_classifier_scan(code::Recorder& rec, const code::CodeRegistry& reg,
   if (!scan.path_id.has_value()) rec.block(lookup, blk::kClsLookupMiss);
 }
 
+}  // namespace
+
 void trace_classification(code::Recorder& rec, const code::CodeRegistry& reg,
                           const code::FlowLookupResult& lr,
                           const code::ClassifyProbeLog& log,
-                          std::optional<std::uint64_t> cache_entry_addr) {
+                          std::uint64_t cache_entry_addr) {
   code::ClassifyScan scan;
   if (lr.scan_matched) scan.path_id = 0;  // only has_value() matters here
   scan.rules_examined = lr.rules_examined;
@@ -749,22 +756,17 @@ void trace_classification(code::Recorder& rec, const code::CodeRegistry& reg,
   scan.candidates_verified = lr.candidates_verified;
   scan.tuple_engine = lr.tuple_engine;
 
-  if (!cache_entry_addr.has_value()) {
-    // Unkeyed frame: the cache was bypassed, only the scan ran.
-    if (lr.scanned) trace_classifier_scan(rec, reg, scan, log);
-    return;
-  }
   const code::FnId cache = reg.require("classify_cache");
   code::TracedCall tc(rec, cache);
   rec.block(cache, blk::kClsCacheProbe);
-  rec.load(*cache_entry_addr, 16);
+  rec.load(cache_entry_addr, 16);
   if (lr.cache_hit && !lr.stale) {
     rec.block(cache, blk::kClsCacheHit);
     return;
   }
   rec.block(cache, lr.stale ? blk::kClsCacheStale : blk::kClsCacheMiss);
   if (lr.scanned) trace_classifier_scan(rec, reg, scan, log);
-  rec.store(*cache_entry_addr, 16);  // memoize (or refresh) the binding
+  rec.store(cache_entry_addr, 16);  // memoize (or refresh) the binding
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 
 #include "code/config.h"
 #include "code/flow_cache.h"
@@ -248,10 +247,10 @@ void register_rpc_code(code::CodeRegistry& reg, const code::StackConfig& cfg);
 /// with the Maglev hash+lookup called only on a track miss (so the miss
 /// cost lands in the slow/rebind activation, like any other cold path).
 void register_lb_code(code::CodeRegistry& reg, const code::StackConfig& cfg);
-/// The scaled packet classifier: flow-cache probe, tuple-space hash/probe/
-/// verify, and the legacy linear scan — registered only when a host runs a
-/// scaled rule set (net::Host::install_scaled_classifier), so default
-/// images and their measured numbers are unchanged.
+/// The packet classifier's lookup code: flow-cache probe, tuple-space hash/
+/// probe/verify, and the legacy linear scan.  Only the registry
+/// harness::measure_classifier_costs builds carries it; host registries
+/// never do, so protocol images and their measured numbers are unchanged.
 void register_classifier_code(code::CodeRegistry& reg,
                               const code::StackConfig& cfg);
 
@@ -264,25 +263,17 @@ inline constexpr std::uint64_t flow_cache_entry_addr(std::size_t slot) {
   return kFlowCacheBase + 32ull * slot;
 }
 
-/// Emit the code-model event stream of one classifier scan: the tuple
-/// engine's hash/probe/verify calls driven by the recorded probe log, or
-/// the linear engine's per-rule blocks.  The registry must have
-/// register_classifier_code applied.
-void trace_classifier_scan(code::Recorder& rec, const code::CodeRegistry& reg,
-                           const code::ClassifyScan& scan,
-                           const code::ClassifyProbeLog& log);
-
 /// Emit the event stream of one full flow-cache lookup (classify_cache
 /// probe at `cache_entry_addr`, then — on a miss or stale hit — the scan
-/// via trace_classifier_scan and the memoizing store).  `lr` is the
-/// lookup's result; the probe log must come from the same lookup's scan
-/// (empty for a linear-engine scan or a fresh hit).  A nullopt address
-/// means the frame was unkeyed: no cache probe ran, only the bare scan is
-/// emitted.
+/// and the memoizing store).  The scan is the tuple engine's hash/probe/
+/// verify calls driven by `log`, or the linear engine's per-rule blocks.
+/// `lr` is the lookup's result; the probe log must come from the same
+/// lookup's scan (empty for a linear-engine scan or a fresh hit).  The
+/// registry must have register_classifier_code applied.
 void trace_classification(code::Recorder& rec, const code::CodeRegistry& reg,
                           const code::FlowLookupResult& lr,
                           const code::ClassifyProbeLog& log,
-                          std::optional<std::uint64_t> cache_entry_addr);
+                          std::uint64_t cache_entry_addr);
 
 /// Path specs for path-inlining (members must already be registered).
 code::PathSpec tcpip_output_path(const code::CodeRegistry& reg);

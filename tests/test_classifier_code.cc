@@ -9,8 +9,6 @@
 // coefficients' invariants (sanity, provenance flag, determinism).
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "code/classifier.h"
 #include "code/flow_cache.h"
 #include "code/model.h"
@@ -98,25 +96,6 @@ TEST(ClassifierCode, TraceShapesMatchTheActivations) {
     EXPECT_EQ(count_events(t, code::EventKind::kCall, lookup), 1u);
     EXPECT_GE(count_events(t, code::EventKind::kStore), 1u);
   }
-
-  // Unkeyed frame: bare scan, no cache function at all.
-  {
-    code::PathTrace t;
-    code::Recorder rec;
-    rec.enable(&t);
-    code::FlowLookupResult lr;
-    lr.path_id = scan.path_id;
-    lr.scanned = true;
-    lr.scan_matched = true;
-    lr.rules_examined = scan.rules_examined;
-    lr.tuples_probed = scan.tuples_probed;
-    lr.candidates_verified = scan.candidates_verified;
-    lr.tuple_engine = scan.tuple_engine;
-    proto::trace_classification(rec, reg, lr, log, std::nullopt);
-    rec.disable();
-    EXPECT_EQ(count_events(t, code::EventKind::kCall, cache), 0u);
-    EXPECT_EQ(count_events(t, code::EventKind::kCall, lookup), 1u);
-  }
 }
 
 TEST(ClassifierCode, MeasuredCostsAreSaneUnderEveryLayout) {
@@ -157,14 +136,6 @@ TEST(ClassifierCode, MeasurementIsBitwiseDeterministic) {
   EXPECT_EQ(a.hit.tp_us, b.hit.tp_us);
   EXPECT_EQ(a.miss_match.tp_us, b.miss_match.tp_us);
   EXPECT_EQ(a.miss_nomatch.tp_us, b.miss_nomatch.tp_us);
-}
-
-TEST(ClassifierCode, RejectsTheFlatAnalyticKnob) {
-  harness::ClassifierCostSpec spec;
-  spec.cfg = code::StackConfig::Std();
-  spec.params.classifier_overhead_us = 0.5;
-  EXPECT_THROW(harness::measure_classifier_costs(spec),
-               std::invalid_argument);
 }
 
 TEST(ClassifierCode, LinearAndTupleEnginesBothPriceable) {

@@ -3,6 +3,7 @@
 // conservation under mixed faults, and the sweep JSON "extra" map.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "harness/sweep.h"
@@ -132,6 +133,26 @@ TEST(FaultInjector, RejectsOversubscribedRates) {
   net::FaultPlan plan;
   plan.rates[0] = {.drop = 0.6, .corrupt = 0.6};
   net::FaultInjector inj;
+  EXPECT_THROW(inj.set_plan(plan), std::invalid_argument);
+}
+
+TEST(FaultInjector, RejectsNanRates) {
+  // A NaN passes a bare `sum() > 1.0` check and would inject nothing.
+  net::FaultPlan plan;
+  plan.rates[1].corrupt = std::numeric_limits<double>::quiet_NaN();
+  net::FaultInjector inj;
+  EXPECT_THROW(inj.set_plan(plan), std::invalid_argument);
+  plan.rates[1].corrupt = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(inj.set_plan(plan), std::invalid_argument);
+}
+
+TEST(FaultInjector, RejectsNegativeRates) {
+  // One negative rate can hide an oversubscribed one inside a sum <= 1.
+  net::FaultPlan plan;
+  plan.rates[0] = {.drop = 1.5, .corrupt = -0.6};
+  net::FaultInjector inj;
+  EXPECT_THROW(inj.set_plan(plan), std::invalid_argument);
+  plan.rates[0] = {.drop = -0.01};
   EXPECT_THROW(inj.set_plan(plan), std::invalid_argument);
 }
 

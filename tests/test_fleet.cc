@@ -301,13 +301,17 @@ TEST(FleetTest, ParamsKeyCoversEveryField) {
   m2.scrub_fraction_d += 0.1;
   harness::MachineParams m3 = base;
   m3.cpu.dual_issue = !m3.cpu.dual_issue;
-  harness::MachineParams m4 = base;
-  m4.classifier_overhead_us = 2.0;
   const std::uint64_t k = harness::machine_params_key(base);
   EXPECT_NE(harness::machine_params_key(m1), k);
   EXPECT_NE(harness::machine_params_key(m2), k);
   EXPECT_NE(harness::machine_params_key(m3), k);
-  EXPECT_NE(harness::machine_params_key(m4), k);
+}
+
+TEST(FleetTest, DefaultParamsKeyIsStable) {
+  // Every cost table and JSON row recorded so far carries this key; a
+  // MachineParams field change must not silently invalidate them.
+  EXPECT_EQ(harness::machine_params_key(harness::MachineParams{}),
+            0x02017DBD5A175655ULL);
 }
 
 TEST(FleetTest, ChurnProducesStaleHitsThatFallBackSlow) {
@@ -407,21 +411,6 @@ TEST(FleetTest, ScaledRuleSetRowRunsAndStaysDeterministic) {
   EXPECT_EQ(r1[0].cache.misses, p[0].cache.misses);
   EXPECT_EQ(r1[0].cache.hits, p[0].cache.hits)
       << "decoys must never match fleet traffic";
-}
-
-TEST(FleetTest, RejectsFlatClassifierOverheadKnob) {
-  // Exactly one classification cost model: fleet rows price lookups via
-  // FlowCacheCosts, so the flat analytic knob must be rejected up front.
-  FleetSpec spec = small_spec();
-  spec.params.classifier_overhead_us = 1.0;
-  try {
-    run_row(spec, tcp_table());
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("classifier_overhead_us"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(FleetTest, FleetJsonSectionIsSchemaVersioned) {

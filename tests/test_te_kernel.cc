@@ -40,9 +40,8 @@ harness::SweepJob job_of(const Row& r, const MachineParams& params,
   return j;
 }
 
-// Sample k, spelled out over measure_side(): controller + classifier
-// charge + client critical_us at seed offset 100 + 7k + server critical_us
-// at 200 + 13k.
+// Sample k, spelled out over measure_side(): controller + client
+// critical_us at seed offset 100 + 7k + server critical_us at 200 + 13k.
 std::vector<double> reference_samples(const Row& r,
                                       const MachineParams& params,
                                       std::uint64_t n) {
@@ -52,9 +51,6 @@ std::vector<double> reference_samples(const Row& r,
       harness::capture_traces(w, params.warmup_roundtrips);
   const double controller =
       2.0 * w.wire().params().one_way_us(proto::Lance::kMinFrame);
-  const double classify =
-      (r.client.path_inlining ? params.classifier_overhead_us : 0.0) +
-      (r.server.path_inlining ? params.classifier_overhead_us : 0.0);
 
   MeasureSpec c;
   c.kind = r.kind;
@@ -73,18 +69,15 @@ std::vector<double> reference_samples(const Row& r,
   for (std::uint64_t k = 0; k < n; ++k) {
     c.seed_offset = 100 + 7 * k;
     s.seed_offset = 200 + 13 * k;
-    out.push_back(controller + classify +
-                  harness::measure_side(c).critical_us +
+    out.push_back(controller + harness::measure_side(c).critical_us +
                   harness::measure_side(s).critical_us);
   }
   return out;
 }
 
-// Sweep and Experiment samples against the reference, with a nonzero
-// classifier charge so the path-inlined rows exercise it.
+// Sweep and Experiment samples against the reference.
 void expect_reference_samples(const Row& r) {
-  MachineParams params = MachineParams::defaults();
-  params.classifier_overhead_us = 1.5;
+  const MachineParams params = MachineParams::defaults();
   constexpr std::uint64_t kSamples = 3;
 
   const std::vector<double> want = reference_samples(r, params, kSamples);
