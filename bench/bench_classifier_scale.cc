@@ -44,7 +44,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -442,12 +441,7 @@ int main(int argc, char** argv) {
           .set("fleet", fleet));
   const std::filesystem::path out =
       std::filesystem::path(out_dir) / "classifier_scale.json";
-  std::filesystem::create_directories(out.parent_path());
-  {
-    std::ofstream os(out);
-    section.dump(os);
-    os << "\n";
-  }
+  harness::write_json(out.string(), section);
   std::printf("wrote %s\n", out.string().c_str());
 
   return failures == 0 ? 0 : 1;

@@ -74,8 +74,8 @@ harness::CaptureResult capture_error_traces(net::World& w) {
   w.wire().injector().force(1, net::FaultKind::kCorrupt, kCorruptOffset,
                             /*has_arg=*/true);
   w.client().arm_capture(&et.client);
-  if (!w.run_until([&] { return w.client().capture_complete(); },
-                   10'000'000)) {
+  if (!w.events().run_until([&] { return w.client().capture_complete(); },
+                            10'000'000)) {
     throw std::runtime_error("client error-path capture did not complete");
   }
   et.client_split = w.client().tx_split();
@@ -95,8 +95,8 @@ harness::CaptureResult capture_error_traces(net::World& w) {
     throw std::runtime_error("pre-arm roundtrip before server capture stalled");
   }
   w.server().arm_capture(&et.server);
-  if (!w.run_until([&] { return w.server().capture_complete(); },
-                   10'000'000)) {
+  if (!w.events().run_until([&] { return w.server().capture_complete(); },
+                            10'000'000)) {
     throw std::runtime_error("server error-path capture did not complete");
   }
   et.server_split = w.server().tx_split();

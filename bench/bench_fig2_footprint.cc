@@ -12,9 +12,9 @@
 using namespace l96;
 
 int main() {
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::Std(),
-                        code::StackConfig::Std());
-  e.run();
+  const harness::Capture cap = harness::capture_world(
+      net::StackKind::kTcpIp, code::StackConfig::Std(),
+      code::StackConfig::Std());
 
   struct Panel {
     const char* caption;
@@ -33,7 +33,8 @@ int main() {
   std::printf("Figure 2: i-cache footprint (256 sets, 64 per row)\n");
   std::printf("'.' untouched   '+' one block   '#' conflicting blocks\n\n");
   for (const Panel& p : panels) {
-    const auto trace = e.lower_client(p.cfg);
+    const auto trace = harness::lower_trace(harness::side_spec(
+        cap, harness::Side::kClient, p.cfg, harness::MachineParams{}));
     const auto fp = code::footprint_stats(
         trace, code::CodeImage{} /* unused for counts */, 32);
     std::printf("-- %s --\n", p.caption);

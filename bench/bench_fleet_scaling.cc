@@ -47,7 +47,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -162,12 +161,7 @@ int main(int argc, char** argv) {
   // for a fixed seed, whatever the worker count.
   const std::filesystem::path summary_path =
       std::filesystem::path(out_dir) / "fleet_summary.json";
-  std::filesystem::create_directories(summary_path.parent_path());
-  {
-    std::ofstream os(summary_path);
-    harness::shard_json(costs, rows).dump(os);
-    os << "\n";
-  }
+  harness::write_json(summary_path.string(), harness::shard_json(costs, rows));
   std::printf("wrote %s\n", summary_path.string().c_str());
 
   // --- sharded multi-core grid --------------------------------------------
@@ -287,12 +281,8 @@ int main(int argc, char** argv) {
 
   const std::filesystem::path shard_path =
       std::filesystem::path(out_dir) / "shard_summary.json";
-  std::filesystem::create_directories(shard_path.parent_path());
-  {
-    std::ofstream os(shard_path);
-    harness::shard_json(costs, shard_rows).dump(os);
-    os << "\n";
-  }
+  harness::write_json(shard_path.string(),
+                      harness::shard_json(costs, shard_rows));
   std::printf("wrote %s\n", shard_path.string().c_str());
 
   // --- invariants ----------------------------------------------------------

@@ -136,15 +136,17 @@ void BM_PingPongRoundtrip(benchmark::State& state) {
 }
 BENCHMARK(BM_PingPongRoundtrip)->Arg(0)->Arg(1);
 
-void BM_ExperimentLowering(benchmark::State& state) {
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::All(),
-                        code::StackConfig::All());
-  e.run();  // capture once
+void BM_LowerTrace(benchmark::State& state) {
+  const code::StackConfig cfg = code::StackConfig::All();
+  const harness::Capture cap =
+      harness::capture_world(net::StackKind::kTcpIp, cfg, cfg);  // once
+  const harness::MeasureSpec spec = harness::side_spec(
+      cap, harness::Side::kClient, cfg, harness::MachineParams{});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(e.lower_client());
+    benchmark::DoNotOptimize(harness::lower_trace(spec));
   }
 }
-BENCHMARK(BM_ExperimentLowering);
+BENCHMARK(BM_LowerTrace);
 
 }  // namespace
 

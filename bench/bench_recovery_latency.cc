@@ -32,7 +32,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -145,12 +144,9 @@ int main(int argc, char** argv) {
 
   const std::filesystem::path out_path =
       std::filesystem::path(out_dir) / "recovery_latency.json";
-  std::filesystem::create_directories(out_path.parent_path());
-  const std::string grid_dump = harness::recovery_json(tables[0], rows).dump();
-  {
-    std::ofstream os(out_path);
-    os << grid_dump << "\n";
-  }
+  const harness::Json grid = harness::recovery_json(tables[0], rows);
+  harness::write_json(out_path.string(), grid);
+  const std::string grid_dump = grid.dump();
   std::printf("wrote %s\n", out_path.string().c_str());
 
   int failures = 0;

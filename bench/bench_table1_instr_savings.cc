@@ -10,9 +10,12 @@
 
 using namespace l96;
 
-static std::uint64_t instructions(code::StackConfig cfg) {
-  harness::Experiment e(net::StackKind::kTcpIp, cfg, cfg);
-  return e.run().client.instructions;
+static std::uint64_t instructions(const code::StackConfig& cfg) {
+  const harness::Capture cap =
+      harness::capture_world(net::StackKind::kTcpIp, cfg, cfg);
+  return harness::lower_trace(harness::side_spec(cap, harness::Side::kClient,
+                                                 cfg, harness::MachineParams{}))
+      .size();
 }
 
 int main() {

@@ -7,24 +7,43 @@
 // between entering IP and entering TCP (ipDemux -> tcpDemux), and between
 // entering TCP and delivery above TCP (tcpDemux -> clientStreamDemux).
 #include <cstdio>
+#include <string_view>
 
 #include "harness/experiment.h"
 #include "harness/tables.h"
 
 using namespace l96;
 
+namespace {
+
+/// Index of the first call of `fn_name` in the client trace, or npos.
+std::size_t find_client_call(const harness::Capture& cap,
+                             std::string_view fn_name) {
+  const code::FnId id = cap.world->client().registry().require(fn_name);
+  const code::PathTrace& trace = cap.traces.client;
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const auto& ev = trace.events[i];
+    if (ev.kind == code::EventKind::kCall && ev.fn == id) return i;
+  }
+  return static_cast<std::size_t>(-1);
+}
+
+}  // namespace
+
 int main() {
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::Std(),
-                        code::StackConfig::Std());
-  e.run();
+  const code::StackConfig std_cfg = code::StackConfig::Std();
+  const harness::Capture cap =
+      harness::capture_world(net::StackKind::kTcpIp, std_cfg, std_cfg);
+  const harness::MeasureSpec client = harness::side_spec(
+      cap, harness::Side::kClient, std_cfg, harness::MachineParams{});
 
-  const std::size_t ip_in = e.find_client_call("ip_demux");
-  const std::size_t tcp_in = e.find_client_call("tcp_demux");
-  const std::size_t deliver = e.find_client_call("tcptest_recv");
-
-  const auto n_ip = e.lower_client_prefix(ip_in).size();
-  const auto n_tcp = e.lower_client_prefix(tcp_in).size();
-  const auto n_del = e.lower_client_prefix(deliver).size();
+  // Instructions executed before entering each boundary function.
+  const auto before = [&](std::string_view fn_name) {
+    return harness::lower_trace(client, find_client_call(cap, fn_name)).size();
+  };
+  const auto n_ip = before("ip_demux");
+  const auto n_tcp = before("tcp_demux");
+  const auto n_del = before("tcptest_recv");
 
   const std::size_t ip_to_tcp = n_tcp - n_ip;
   const std::size_t tcp_to_sock = n_del - n_tcp;
@@ -47,7 +66,8 @@ int main() {
                                  code::StackConfig::All());
   std::printf("mCPI: DEC Unix (paper) = 2.3; x-kernel ALL (measured) = %.2f; "
               "x-kernel STD (measured) = %.2f\n",
-              all.client.steady.mcpi(), e.run().client.steady.mcpi());
+              all.client.steady.mcpi(),
+              harness::measure_side(client).steady.mcpi());
   std::printf("Paper note: x-kernel CPI 3.3 vs DEC Unix CPI 4.26 on the same "
               "task boundaries.\n");
   return 0;

@@ -40,9 +40,16 @@ int main(int argc, char** argv) {
   const auto scfg =
       kind == net::StackKind::kRpc ? code::StackConfig::All() : cfg;
 
-  harness::Experiment e(kind, cfg, scfg);
-  auto r = e.run();
-  const auto trace = e.lower_client();
+  const harness::MachineParams params;
+  const harness::Capture cap = harness::capture_world(kind, cfg, scfg);
+  const harness::MeasureSpec client =
+      harness::side_spec(cap, harness::Side::kClient, cfg, params);
+  const harness::ConfigResult r = harness::combine_sides(
+      harness::measure_side(client),
+      harness::measure_side(
+          harness::side_spec(cap, harness::Side::kServer, scfg, params)),
+      cap.controller_us);
+  const sim::MachineTrace trace = harness::lower_trace(client);
 
   std::printf("stack: %s   configuration: %s\n",
               kind == net::StackKind::kRpc ? "RPC" : "TCP/IP",

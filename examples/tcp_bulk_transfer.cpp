@@ -77,19 +77,18 @@ int main(int argc, char** argv) {
       world.client().tcp()->connect(world.server().address().ip, 9001, 9000,
                                     &source);
 
-  // Periodic frame loss.
-  std::uint64_t frames = 0;
+  // Periodic frame loss: arm one drop every `drop_every` carried frames.
   std::uint64_t next_check = 0;
-  while (sink.received() < total) {
-    if (drop_every > 0 && world.wire().frames_carried() >= next_check) {
-      next_check = world.wire().frames_carried() + drop_every;
-      world.wire().drop_next(1);
-    }
-    if (world.events().pending() == 0) break;
-    world.events().advance_to_next();
-    ++frames;
-    if (world.events().now() > 600'000'000ull) break;  // 10 min sim time
-  }
+  world.events().run_until(
+      [&] {
+        if (sink.received() >= total) return true;
+        if (drop_every > 0 && world.wire().frames_carried() >= next_check) {
+          next_check = world.wire().frames_carried() + drop_every;
+          world.wire().drop_next(1);
+        }
+        return false;
+      },
+      600'000'000);  // 10 min sim time
 
   const double secs = world.events().now() / 1e6;
   std::printf("bulk transfer: %llu/%llu bytes in %.3f s simulated "

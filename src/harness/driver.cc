@@ -64,18 +64,9 @@ class Driver final : public proto::TcpUpper {
   void tcp_receive(proto::TcpConn&, xk::Message&) override {}
 
  private:
-  template <typename Pred>
-  bool run_until(Pred pred, std::uint64_t max_us) {
-    const std::uint64_t deadline = ev_.now() + max_us;
-    while (!pred()) {
-      if (ev_.pending() == 0) return pred();
-      if (ev_.now() >= deadline) return false;
-      ev_.advance_to_next();
-    }
-    return true;
-  }
+  /// Fire events for `us` (> 0) of virtual time, or until none are left.
   void idle(std::uint64_t us) {
-    run_until([] { return false; }, us);
+    ev_.run_until([] { return false; }, us);
   }
   [[noreturn]] void fail(const char* what, std::uint64_t packet) const {
     throw std::runtime_error(p_.row + ": " + what + " at scheduled packet " +
@@ -84,7 +75,7 @@ class Driver final : public proto::TcpUpper {
   /// Run until `pred` holds; a world that stalls first fails the row.
   template <typename Pred>
   void wait(Pred pred, const char* what, std::uint64_t packet) {
-    if (!run_until(pred, kStallUs)) fail(what, packet);
+    if (!ev_.run_until(pred, kStallUs)) fail(what, packet);
   }
 
   /// Wire identity of local flow k: global index unless ports are local.

@@ -1,6 +1,5 @@
 #include "harness/experiment.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -102,15 +101,25 @@ MeasureSpec side_spec(const Capture& cap, Side side,
 
 namespace {
 
-/// The first `count` events of `trace` (all of them when it is shorter):
-/// the critical path when `count` is the transmit split.
-code::PathTrace prefix_of(const code::PathTrace& trace, std::size_t count) {
+void require_trace(const MeasureSpec& spec) {
+  if (spec.registry == nullptr || spec.trace == nullptr) {
+    throw std::invalid_argument(
+        "MeasureSpec requires a registry and a trace");
+  }
+}
+
+/// The first `count` events of `trace` (all of them when it is shorter)
+/// lowered through `lower`: the critical path when `count` is the transmit
+/// split.
+sim::MachineTrace lower_events(const code::Lowering& lower,
+                               const code::PathTrace& trace,
+                               std::size_t count) {
+  if (count >= trace.events.size()) return lower.lower(trace);
   code::PathTrace prefix;
   prefix.events.assign(
       trace.events.begin(),
-      trace.events.begin() +
-          static_cast<std::ptrdiff_t>(std::min(count, trace.events.size())));
-  return prefix;
+      trace.events.begin() + static_cast<std::ptrdiff_t>(count));
+  return lower.lower(prefix);
 }
 
 /// Steady-state replay options (Table 7): warm-up passes with untraced-code
@@ -157,10 +166,7 @@ struct Prelude {
 }  // namespace
 
 SideMeasurement measure_side(const MeasureSpec& spec) {
-  if (spec.registry == nullptr || spec.trace == nullptr) {
-    throw std::invalid_argument(
-        "MeasureSpec requires a registry and a trace");
-  }
+  require_trace(spec);
   const MachineParams& params = spec.params;
   const Prelude pre(spec);
 
@@ -172,7 +178,7 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
   const sim::MachineTrace full = pre.lower.lower(*spec.trace);
   m.instructions = full.size();
   const sim::MachineTrace critical =
-      pre.lower.lower(prefix_of(*spec.trace, spec.split));
+      lower_events(pre.lower, *spec.trace, spec.split);
   m.critical_instructions = critical.size();
 
   // Cold replay: the paper's trace-driven cache simulation (Table 6).
@@ -208,6 +214,11 @@ SideMeasurement measure_side(const MeasureSpec& spec) {
 
   m.footprint = code::footprint_stats(full, pre.image, params.mem.block_bytes);
   return m;
+}
+
+sim::MachineTrace lower_trace(const MeasureSpec& spec, std::size_t events) {
+  require_trace(spec);
+  return lower_events(Prelude(spec).lower, *spec.trace, events);
 }
 
 StreamMeasurement measure_stream(const StreamSpec& spec) {
@@ -291,13 +302,10 @@ std::vector<double> measure_te_samples(const Capture& cap,
   if (n == 0) return {};
   // Each side's critical prefix, imaged and lowered once: the trace
   // measure_side() replays for SideMeasurement::critical.
-  const auto critical = [&](const MeasureSpec& spec) {
-    return Prelude(spec).lower.lower(prefix_of(*spec.trace, spec.split));
-  };
-  const sim::MachineTrace c =
-      critical(side_spec(cap, Side::kClient, ccfg, params));
-  const sim::MachineTrace s =
-      critical(side_spec(cap, Side::kServer, scfg, params));
+  const MeasureSpec cs = side_spec(cap, Side::kClient, ccfg, params);
+  const MeasureSpec ss = side_spec(cap, Side::kServer, scfg, params);
+  const sim::MachineTrace c = lower_trace(cs, cs.split);
+  const sim::MachineTrace s = lower_trace(ss, ss.split);
   const auto critical_us = [&](const sim::MachineTrace& t,
                                std::uint64_t seed_offset) {
     sim::Machine machine(params.mem, params.cpu);
@@ -313,61 +321,14 @@ std::vector<double> measure_te_samples(const Capture& cap,
   return out;
 }
 
-Experiment::Experiment(net::StackKind kind, code::StackConfig client_cfg,
-                       code::StackConfig server_cfg, MachineParams params)
-    : kind_(kind),
-      client_cfg_(std::move(client_cfg)),
-      server_cfg_(std::move(server_cfg)),
-      params_(params) {}
-
-const Capture& Experiment::capture() {
-  if (!cap_.world) {
-    cap_ = capture_world(kind_, client_cfg_, server_cfg_,
-                         params_.warmup_roundtrips);
-  }
-  return cap_;
-}
-
-ConfigResult Experiment::run() {
-  const Capture& cap = capture();
-  return combine_sides(
-      measure_side(side_spec(cap, Side::kClient, client_cfg_, params_)),
-      measure_side(side_spec(cap, Side::kServer, server_cfg_, params_)),
-      cap.controller_us);
-}
-
-std::vector<double> Experiment::te_samples(std::uint64_t n_samples) {
-  return measure_te_samples(capture(), client_cfg_, server_cfg_, params_,
-                            n_samples);
-}
-
-sim::MachineTrace Experiment::lower_client(
-    const code::StackConfig& cfg_override) {
-  const MeasureSpec spec =
-      side_spec(capture(), Side::kClient, cfg_override, params_);
-  return Prelude(spec).lower.lower(*spec.trace);
-}
-
-sim::MachineTrace Experiment::lower_client_prefix(std::size_t count) {
-  const MeasureSpec spec =
-      side_spec(capture(), Side::kClient, client_cfg_, params_);
-  return Prelude(spec).lower.lower(prefix_of(*spec.trace, count));
-}
-
-std::size_t Experiment::find_client_call(std::string_view fn_name) {
-  const code::FnId id = world().client().registry().require(fn_name);
-  const code::PathTrace& trace = client_trace();
-  for (std::size_t i = 0; i < trace.events.size(); ++i) {
-    const auto& ev = trace.events[i];
-    if (ev.kind == code::EventKind::kCall && ev.fn == id) return i;
-  }
-  return static_cast<std::size_t>(-1);
-}
-
 ConfigResult run_config(net::StackKind kind, const code::StackConfig& ccfg,
                         const code::StackConfig& scfg, MachineParams params) {
-  Experiment e(kind, ccfg, scfg, params);
-  return e.run();
+  const Capture cap =
+      capture_world(kind, ccfg, scfg, params.warmup_roundtrips);
+  return combine_sides(
+      measure_side(side_spec(cap, Side::kClient, ccfg, params)),
+      measure_side(side_spec(cap, Side::kServer, scfg, params)),
+      cap.controller_us);
 }
 
 std::vector<code::StackConfig> paper_configs() {

@@ -1,4 +1,4 @@
-// Experiment driver: runs a configured two-host world, captures one
+// Measurement kernel: runs a configured two-host world, captures one
 // steady-state roundtrip's protocol processing per side, lowers it under
 // the configuration's code image, and replays it through the machine model
 // — producing every number Tables 2 and 4-9 report.
@@ -109,9 +109,10 @@ struct Capture {
 };
 
 /// Build and start a (kind, client, server) world, then capture_traces() it.
-Capture capture_world(net::StackKind kind, const code::StackConfig& ccfg,
-                      const code::StackConfig& scfg,
-                      std::uint64_t warmup_roundtrips);
+Capture capture_world(
+    net::StackKind kind, const code::StackConfig& ccfg,
+    const code::StackConfig& scfg,
+    std::uint64_t warmup_roundtrips = MachineParams{}.warmup_roundtrips);
 
 /// Build the code image for `cfg` over `reg`, using `profile` as the layout
 /// profile.  Pure function of its inputs.
@@ -155,11 +156,19 @@ MeasureSpec side_spec(const Capture& cap, Side side,
                       const MachineParams& params);
 
 /// Lower spec.trace under spec.cfg's image and replay it cold + steady: the
-/// measurement kernel shared by Experiment, SweepRunner and the benches.
+/// measurement kernel shared by run_config, SweepRunner and the benches.
 /// Pure function of the spec; reads the registry and traces only — safe to
 /// call concurrently from multiple threads over the same registry/trace.
 /// Throws std::invalid_argument when registry or trace is null.
 SideMeasurement measure_side(const MeasureSpec& spec);
+
+/// The first `events` events of spec.trace (all of them by default)
+/// lowered under spec.cfg's image: the instruction stream measure_side()
+/// replays.  `lower_trace(spec).size()` is its `instructions` and
+/// `lower_trace(spec, spec.split).size()` its `critical_instructions`.
+/// Throws std::invalid_argument when registry or trace is null.
+sim::MachineTrace lower_trace(const MeasureSpec& spec,
+                              std::size_t events = SIZE_MAX);
 
 /// An activation *stream*: a sequence of path activations priced under one
 /// continuously-evolving cache state (a back-to-back burst).  The single-
@@ -219,51 +228,8 @@ std::vector<double> measure_te_samples(const Capture& cap,
                                        const MachineParams& params,
                                        std::uint64_t n);
 
-class Experiment {
- public:
-  Experiment(net::StackKind kind, code::StackConfig client_cfg,
-             code::StackConfig server_cfg,
-             MachineParams params = MachineParams::defaults());
-
-  /// Run the world, capture, lower, replay; fills a ConfigResult.
-  ConfigResult run();
-
-  /// Warm up and capture both sides' traces without measuring anything
-  /// (idempotent; run() and the accessors below trigger it implicitly).
-  /// Exposed for callers that want the traces but will run their own
-  /// measure_side() variants through side_spec().
-  const Capture& capture();
-
-  /// measure_te_samples() over this experiment's capture and configs.
-  std::vector<double> te_samples(std::uint64_t n_samples);
-
-  /// The captured client path trace (profile for layout, Table 3 analysis).
-  const code::PathTrace& client_trace() { return capture().traces.client; }
-  std::size_t client_tx_split() { return capture().traces.client_split; }
-  net::World& world() { return *capture().world; }
-
-  /// Lower the client trace under this config's image (exposed for the
-  /// footprint-map figure and ablation benches).
-  sim::MachineTrace lower_client(const code::StackConfig& cfg_override);
-  sim::MachineTrace lower_client() { return lower_client(client_cfg_); }
-
-  /// Lower only the first `count` events of the client trace (used to count
-  /// instructions between protocol boundaries, Table 3).
-  sim::MachineTrace lower_client_prefix(std::size_t count);
-
-  /// Index of the first kCall event naming `fn_name` in the client trace,
-  /// or npos.
-  std::size_t find_client_call(std::string_view fn_name);
-
- private:
-  net::StackKind kind_;
-  code::StackConfig client_cfg_;
-  code::StackConfig server_cfg_;
-  MachineParams params_;
-  Capture cap_;  ///< empty (no world) until capture()
-};
-
-/// Convenience: run one configuration end to end.
+/// One configuration end to end: capture_world(), then measure_side() on
+/// each side's side_spec(), then combine_sides().
 ConfigResult run_config(net::StackKind kind, const code::StackConfig& ccfg,
                         const code::StackConfig& scfg,
                         MachineParams params = MachineParams::defaults());

@@ -1,6 +1,8 @@
 #include "harness/json.h"
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -165,6 +167,16 @@ std::string Json::dump() const {
   std::ostringstream ss;
   dump(ss);
   return ss.str();
+}
+
+void write_json(const std::string& path, const Json& j) {
+  const std::filesystem::path p(path);
+  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
+  std::ofstream f(p);
+  j.dump(f);
+  f << '\n';
+  f.flush();
+  if (!f) throw std::runtime_error("cannot write " + path);
 }
 
 }  // namespace l96::harness

@@ -103,4 +103,9 @@ std::string section_schema(const std::string& name, int version);
 Json emit_section(const std::string& name, int version,
                   Json body = Json::object());
 
+/// Write `j.dump()` and a newline to `path`, creating missing parent
+/// directories.  Throws std::runtime_error naming the path when the file
+/// cannot be opened or written.
+void write_json(const std::string& path, const Json& j);
+
 }  // namespace l96::harness

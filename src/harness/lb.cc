@@ -29,8 +29,8 @@ BurstCostTable measure_lb_costs(const code::StackConfig& cfg,
   // Fast: the next client frame rides the warmed pinned entry.
   code::PathTrace fast;
   world.lb().arm_capture(&fast);
-  if (!world.run_until([&] { return world.lb().capture_complete(); },
-                       10'000'000)) {
+  if (!world.events().run_until([&] { return world.lb().capture_complete(); },
+                                10'000'000)) {
     throw std::runtime_error(
         "measure_lb_costs: fast-path capture stalled for config " + cfg.name);
   }
@@ -43,8 +43,8 @@ BurstCostTable measure_lb_costs(const code::StackConfig& cfg,
   }
   code::PathTrace slow;
   world.lb().arm_capture(&slow);
-  if (!world.run_until([&] { return world.lb().capture_complete(); },
-                       10'000'000)) {
+  if (!world.events().run_until([&] { return world.lb().capture_complete(); },
+                                10'000'000)) {
     throw std::runtime_error(
         "measure_lb_costs: slow-path capture stalled for config " + cfg.name);
   }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -54,16 +52,7 @@ namespace {
 /// Write the section to common.out_path when set; returns the path used.
 std::string write_out(const RunnerSpec& common, const Json& section) {
   if (common.out_path.empty()) return {};
-  const std::filesystem::path path(common.out_path);
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream f(path);
-  if (!f) {
-    throw std::runtime_error("run: cannot open output path " +
-                             common.out_path);
-  }
-  f << section.dump() << "\n";
+  write_json(common.out_path, section);
   return common.out_path;
 }
 

@@ -122,7 +122,7 @@ SoakReport run_soak(const SoakSpec& spec) {
   // Drain: with the session idle (or closing), every timer must fire or be
   // cancelled; the random fault rates stay active, so teardown itself runs
   // under fire.
-  w.run_until([&w] { return w.events().pending() == 0; }, 600'000'000);
+  w.events().run_until([&w] { return w.events().pending() == 0; }, 600'000'000);
 
   // Leak accounting happens BEFORE any destructor runs: destructors cancel
   // timers and would mask a leaked event.

@@ -18,10 +18,9 @@
 //  * Worker pool: lowering and simulation are pure functions of
 //    (registry, trace, config, params) — see measure_side() — so jobs run
 //    concurrently on std::threads over the shared captures.  Te samples
-//    come from measure_te_samples(), the same function
-//    Experiment::te_samples uses.  Results are stored by job index:
+//    come from measure_te_samples().  Results are stored by job index:
 //    ordering is deterministic and the numbers are byte-identical to the
-//    serial Experiment path (same seeds, same inputs, same arithmetic).
+//    serial run_config path (same seeds, same inputs, same arithmetic).
 //
 //  * Structured metrics: write_sweep_metrics() emits one JSON file per
 //    bench (bench/out/<bench>.json) with cycles, CPI, iCPI, mCPI, per-cache

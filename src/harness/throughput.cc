@@ -34,6 +34,17 @@ class StreamSource final : public proto::TcpUpper {
   std::uint64_t total_;
 };
 
+/// Simulated-time cap on a transfer: 10 minutes.
+constexpr std::uint64_t kDeadlineUs = 600'000'000;
+
+/// Run `world` until `pred` holds, its events run out, or virtual time
+/// reaches kDeadlineUs.
+template <class Pred>
+void run_until_deadline(net::World& world, Pred pred) {
+  const std::uint64_t now = world.events().now();
+  if (now < kDeadlineUs) world.events().run_until(pred, kDeadlineUs - now);
+}
+
 }  // namespace
 
 ThroughputResult measure_tcp_throughput(const code::StackConfig& cfg,
@@ -47,21 +58,14 @@ ThroughputResult measure_tcp_throughput(const code::StackConfig& cfg,
   auto* conn = world.client().tcp()->connect(world.server().address().ip,
                                              9001, 9000, &source);
 
-  const std::uint64_t deadline = 600'000'000;  // 10 minutes simulated
-  while (sink.received < bytes && world.events().pending() > 0 &&
-         world.events().now() < deadline) {
-    world.events().advance_to_next();
-  }
+  run_until_deadline(world, [&] { return sink.received >= bytes; });
   // Drain in-flight frames and pending ACK/retransmit events so the frame
   // counters are settled (on a clean wire, carried == delivered).
-  while (world.events().pending() > 0 && world.events().now() < deadline) {
-    world.events().advance_to_next();
-  }
+  run_until_deadline(world, [] { return false; });
 
   // Per-packet processing cost of this configuration, from the latency
   // experiment's steady replay.
-  Experiment e(net::StackKind::kTcpIp, cfg, cfg);
-  auto lat = e.run();
+  const ConfigResult lat = run_config(net::StackKind::kTcpIp, cfg, cfg);
 
   ThroughputResult r;
   r.bytes = sink.received;
@@ -110,14 +114,10 @@ ThroughputResult measure_rpc_throughput(const code::StackConfig& cfg,
     });
   };
   issue();
-  const std::uint64_t deadline = 600'000'000;
-  while (done < calls && world.events().pending() > 0 &&
-         world.events().now() < deadline) {
-    world.events().advance_to_next();
-  }
+  run_until_deadline(world, [&] { return done >= calls; });
 
-  Experiment e(net::StackKind::kRpc, cfg, code::StackConfig::All());
-  auto lat = e.run();
+  const ConfigResult lat =
+      run_config(net::StackKind::kRpc, cfg, code::StackConfig::All());
 
   ThroughputResult r;
   r.bytes = echoed;

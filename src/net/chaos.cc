@@ -1,7 +1,9 @@
 #include "net/chaos.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -32,6 +34,20 @@ const char* to_string(ChaosTarget t) {
   return "?";
 }
 
+namespace {
+
+/// A token of decimal digits only ("-5", "+2000" and "" fail) that fits
+/// in 64 bits.
+std::optional<std::uint64_t> parse_digits(std::string_view s) {
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
+
+}  // namespace
+
 ChaosTimeline ChaosTimeline::parse(std::string_view script) {
   ChaosTimeline tl;
   std::istringstream in{std::string(script)};
@@ -56,18 +72,12 @@ ChaosTimeline ChaosTimeline::parse(std::string_view script) {
       } else if (who == "server") {
         target = ChaosTarget::kServer;
       } else if (who.rfind("backend", 0) == 0 && who.size() > 7) {
-        const std::string num = who.substr(7);
-        try {
-          std::size_t used = 0;
-          const unsigned long v = std::stoul(num, &used);
-          if (used != num.size() || v > 0xFFFF) {
-            throw std::invalid_argument(num);
-          }
-          index = static_cast<std::uint16_t>(v);
-        } catch (const std::exception&) {
+        const auto v = parse_digits(std::string_view(who).substr(7));
+        if (!v || *v > 0xFFFF) {
           throw std::invalid_argument("chaos: bad backend index in \"" + tok +
                                       "\"");
         }
+        index = static_cast<std::uint16_t>(*v);
         target = ChaosTarget::kBackend;
       } else {
         throw std::invalid_argument("chaos: unknown host \"" + who +
@@ -116,15 +126,12 @@ ChaosTimeline ChaosTimeline::parse(std::string_view script) {
       if (target == ChaosTarget::kBackend) target = ChaosTarget::kBackendLink;
     }
 
-    std::uint64_t at_us = 0;
-    try {
-      std::size_t used = 0;
-      at_us = std::stoull(when, &used);
-      if (used != when.size()) throw std::invalid_argument(when);
-    } catch (const std::exception&) {
+    const auto at = parse_digits(when);
+    if (!at) {
       throw std::invalid_argument("chaos: bad time \"" + when + "\" in \"" +
                                   tok + "\"");
     }
+    const std::uint64_t at_us = *at;
     if (!first && at_us < last_at) {
       throw std::invalid_argument("chaos: time goes backwards at \"" + tok +
                                   "\"");

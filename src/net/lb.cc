@@ -409,20 +409,8 @@ std::uint64_t LbWorld::client_roundtrips() const {
   return client_->tcptest()->roundtrips();
 }
 
-bool LbWorld::run_until(const std::function<bool()>& pred,
-                        std::uint64_t max_us) {
-  const std::uint64_t deadline =
-      max_us == 0 ? ~std::uint64_t{0} : events_.now() + max_us;
-  while (!pred()) {
-    if (events_.pending() == 0) return pred();
-    if (events_.now() >= deadline) return false;
-    events_.advance_to_next();
-  }
-  return true;
-}
-
 bool LbWorld::run_until_roundtrips(std::uint64_t n, std::uint64_t max_us) {
-  return run_until([this, n] { return client_roundtrips() >= n; },
+  return events_.run_until([this, n] { return client_roundtrips() >= n; },
                    max_us == 0 ? n * 100'000 + 10'000'000 : max_us);
 }
 

@@ -269,7 +269,7 @@ class LbWorld {
   /// VIP, and begin the LB's health probes.
   void start(std::uint64_t target_roundtrips);
 
-  bool run_until(const std::function<bool()>& pred, std::uint64_t max_us);
+  /// As World::run_until_roundtrips.
   bool run_until_roundtrips(std::uint64_t n, std::uint64_t max_us = 0);
   std::uint64_t client_roundtrips() const;
 

@@ -2,7 +2,6 @@
 // the paper's experimental platform (two DEC 3000/600s, Section 4.1).
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "net/host.h"
@@ -44,11 +43,9 @@ class World {
   /// `target_roundtrips` bounds the client's ping-pong.
   void start(std::uint64_t target_roundtrips);
 
-  /// Advance virtual time until `pred()` or `max_us` elapsed; returns
-  /// whether the predicate became true.
-  bool run_until(const std::function<bool()>& pred, std::uint64_t max_us);
-
   /// Run until the client has completed `n` roundtrips (absolute count).
+  /// `max_us == 0` allows 100 ms per roundtrip plus 10 s.  Any other
+  /// condition runs through events().run_until.
   bool run_until_roundtrips(std::uint64_t n, std::uint64_t max_us = 0);
 
   std::uint64_t client_roundtrips() const;

@@ -74,6 +74,22 @@ class EventManager {
   /// an event fired.
   bool advance_to_next();
 
+  /// Fire events in order until `pred()` holds (true), the queue runs dry
+  /// (pred()'s value then), or virtual time reaches `max_us` past now
+  /// (false).  `max_us == 0` means no deadline.  The predicate is a
+  /// template argument so hot driving loops inline it.
+  template <class Pred>
+  bool run_until(Pred pred, std::uint64_t max_us) {
+    const std::uint64_t deadline =
+        max_us == 0 ? ~std::uint64_t{0} : now_ + max_us;
+    while (!pred()) {
+      if (live_ == 0) return pred();
+      if (now_ >= deadline) return false;
+      advance_to_next();
+    }
+    return true;
+  }
+
   std::uint64_t now() const noexcept { return now_; }
   std::size_t pending() const noexcept { return live_; }
 

@@ -10,11 +10,16 @@
 namespace l96 {
 namespace {
 
+/// One steady-state TCP/IP roundtrip captured with STD on both hosts.
+harness::Capture tcp_std() {
+  return harness::capture_world(net::StackKind::kTcpIp,
+                                code::StackConfig::Std(),
+                                code::StackConfig::Std());
+}
+
 TEST(Capture, OneActivationHasBalancedCallsAndReturns) {
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::Std(),
-                        code::StackConfig::Std());
-  e.run();
-  const auto& t = e.client_trace();
+  const harness::Capture cap = tcp_std();
+  const auto& t = cap.traces.client;
   ASSERT_FALSE(t.empty());
   int depth = 0;
   int min_depth = 0;
@@ -28,22 +33,18 @@ TEST(Capture, OneActivationHasBalancedCallsAndReturns) {
 }
 
 TEST(Capture, ActivationRootIsTheReceiveInterrupt) {
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::Std(),
-                        code::StackConfig::Std());
-  e.run();
-  const auto& t = e.client_trace();
+  const harness::Capture cap = tcp_std();
+  const auto& t = cap.traces.client;
   const auto lance_intr =
-      e.world().client().registry().require("lance_intr");
+      cap.world->client().registry().require("lance_intr");
   ASSERT_EQ(t.events.front().kind, code::EventKind::kCall);
   EXPECT_EQ(t.events.front().fn, lance_intr);
 }
 
 TEST(Capture, SplitFollowsTheTransmitKick) {
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::Std(),
-                        code::StackConfig::Std());
-  e.run();
-  const std::size_t split = e.client_tx_split();
-  const auto& t = e.client_trace();
+  const harness::Capture cap = tcp_std();
+  const std::size_t split = cap.traces.client_split;
+  const auto& t = cap.traces.client;
   ASSERT_GT(split, 0u);
   ASSERT_LE(split, t.events.size());
   // The event just before the split is the LANCE kick block.
@@ -54,13 +55,11 @@ TEST(Capture, SplitFollowsTheTransmitKick) {
 }
 
 TEST(Capture, PostSplitContainsOverlappedWork) {
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::Std(),
-                        code::StackConfig::Std());
-  e.run();
-  const auto& t = e.client_trace();
-  const auto refresh = e.world().client().registry().require("msg_refresh");
+  const harness::Capture cap = tcp_std();
+  const auto& t = cap.traces.client;
+  const auto refresh = cap.world->client().registry().require("msg_refresh");
   bool refresh_after_split = false;
-  for (std::size_t i = e.client_tx_split(); i < t.events.size(); ++i) {
+  for (std::size_t i = cap.traces.client_split; i < t.events.size(); ++i) {
     if (t.events[i].kind == code::EventKind::kCall &&
         t.events[i].fn == refresh) {
       refresh_after_split = true;
@@ -71,10 +70,9 @@ TEST(Capture, PostSplitContainsOverlappedWork) {
 }
 
 TEST(Capture, EveryBlockEventFollowsItsFunction) {
-  harness::Experiment e(net::StackKind::kRpc, code::StackConfig::Std(),
-                        code::StackConfig::All());
-  e.run();
-  const auto& t = e.client_trace();
+  const harness::Capture cap = harness::capture_world(
+      net::StackKind::kRpc, code::StackConfig::Std(), code::StackConfig::All());
+  const auto& t = cap.traces.client;
   std::vector<code::FnId> stack;
   for (const auto& ev : t.events) {
     switch (ev.kind) {
@@ -95,11 +93,9 @@ TEST(Capture, EveryBlockEventFollowsItsFunction) {
 }
 
 TEST(Capture, BlockIdsAreValidForTheirFunctions) {
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::Std(),
-                        code::StackConfig::Std());
-  e.run();
-  const auto& reg = e.world().client().registry();
-  for (const auto& ev : e.client_trace().events) {
+  const harness::Capture cap = tcp_std();
+  const auto& reg = cap.world->client().registry();
+  for (const auto& ev : cap.traces.client.events) {
     if (ev.kind == code::EventKind::kBlock) {
       ASSERT_LT(ev.fn, reg.size());
       ASSERT_LT(ev.block, reg.fn(ev.fn).blocks.size());
@@ -108,10 +104,8 @@ TEST(Capture, BlockIdsAreValidForTheirFunctions) {
 }
 
 TEST(Capture, DataRefsLandInDataRegions) {
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::Std(),
-                        code::StackConfig::Std());
-  e.run();
-  for (const auto& ev : e.client_trace().events) {
+  const harness::Capture cap = tcp_std();
+  for (const auto& ev : cap.traces.client.events) {
     if (ev.kind == code::EventKind::kLoad ||
         ev.kind == code::EventKind::kStore) {
       EXPECT_GE(ev.addr, 0x8000'0000u) << "data ref into code space";
@@ -122,11 +116,9 @@ TEST(Capture, DataRefsLandInDataRegions) {
 TEST(Capture, ErrorBlocksAbsentFromSteadyState) {
   // The captured steady-state roundtrip must not execute outlined error
   // paths (that is what makes them outlining candidates).
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::Std(),
-                        code::StackConfig::Std());
-  e.run();
-  const auto& reg = e.world().client().registry();
-  for (const auto& ev : e.client_trace().events) {
+  const harness::Capture cap = tcp_std();
+  const auto& reg = cap.world->client().registry();
+  for (const auto& ev : cap.traces.client.events) {
     if (ev.kind != code::EventKind::kBlock) continue;
     const auto& b = reg.fn(ev.fn).blocks[ev.block];
     EXPECT_NE(b.cls, code::BlockClass::kError)

@@ -60,6 +60,14 @@ TEST(ChaosScript, RejectsMalformedScripts) {
   EXPECT_THROW(ChaosTimeline::parse("crash@1:router reboot@2:router"),
                std::invalid_argument);
   EXPECT_THROW(ChaosTimeline::parse("link_down"), std::invalid_argument);
+  // Times and backend indices are decimal digits only: no sign.
+  EXPECT_THROW(ChaosTimeline::parse("link_down@2000 link_up@-5"),
+               std::invalid_argument);
+  EXPECT_THROW(ChaosTimeline::parse("link_down@+2000 link_up@3000"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      ChaosTimeline::parse("drain@1000:backend+1 undrain@2000:backend+1"),
+      std::invalid_argument);
 }
 
 TEST(ChaosScript, ParsesBackendTargetsAndDrains) {
@@ -246,8 +254,8 @@ TEST(Chaos, CrashRebootRstConvergence) {
                code::StackConfig::Std());
   w.start(5);
   ASSERT_TRUE(w.run_until_roundtrips(5));
-  ASSERT_TRUE(
-      w.run_until([&] { return w.events().pending() == 0; }, 60'000'000));
+  ASSERT_TRUE(w.events().run_until([&] { return w.events().pending() == 0; },
+                                   60'000'000));
   proto::TcpConn* c = w.client().tcptest()->connection();
   ASSERT_NE(c, nullptr);
   ASSERT_EQ(c->state(), proto::TcpState::kEstablished);
@@ -259,12 +267,12 @@ TEST(Chaos, CrashRebootRstConvergence) {
   // The client's next segment lands on a stack that never heard of the
   // connection: the new incarnation answers RST and the client converges.
   c->send(std::vector<std::uint8_t>(4, 0xCD));
-  ASSERT_TRUE(w.run_until(
+  ASSERT_TRUE(w.events().run_until(
       [&] { return c->state() == proto::TcpState::kClosed; }, 60'000'000));
   EXPECT_EQ(w.server().tcp()->rst_sent(), 1u);
   EXPECT_EQ(w.client().tcptest()->connection(), nullptr);  // upcall detached
-  ASSERT_TRUE(
-      w.run_until([&] { return w.events().pending() == 0; }, 60'000'000));
+  ASSERT_TRUE(w.events().run_until([&] { return w.events().pending() == 0; },
+                                   60'000'000));
   EXPECT_TRUE(w.wire().conserved());
 }
 
@@ -275,8 +283,8 @@ TEST(Survival, SynRetryExhaustionSurfacesFailureWithoutLeaks) {
   w.wire().link_down();
   w.start(5);  // the SYN (and every retry) goes into the void
 
-  ASSERT_TRUE(
-      w.run_until([&] { return w.events().pending() == 0; }, 600'000'000));
+  ASSERT_TRUE(w.events().run_until([&] { return w.events().pending() == 0; },
+                                   600'000'000));
   EXPECT_EQ(w.client().tcp()->connect_failures(), 1u);
   EXPECT_EQ(w.wire().blackout_drops(), 4u);  // SYN + 3 retries
   proto::TcpConn* c = w.client().tcptest()->connection();
@@ -298,8 +306,8 @@ TEST(Survival, KeepaliveReapsHalfOpenAfterPeerCrash) {
   ASSERT_NE(c, nullptr);
 
   w.server().crash();  // never reboots: nobody will ever answer a probe
-  ASSERT_TRUE(
-      w.run_until([&] { return w.events().pending() == 0; }, 600'000'000));
+  ASSERT_TRUE(w.events().run_until([&] { return w.events().pending() == 0; },
+                                   600'000'000));
   EXPECT_EQ(w.client().tcp()->keepalive_probes_sent(), 2u);
   EXPECT_EQ(w.client().tcp()->keepalive_reaps(), 1u);
   EXPECT_EQ(c->state(), proto::TcpState::kClosed);

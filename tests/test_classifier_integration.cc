@@ -76,14 +76,14 @@ TEST(ClassifierIntegration, RpcNackTakesSlowPath) {
 TEST(ClassifierIntegration, SlowPathLowersToStandalonePlacements) {
   // A captured activation bracketed by slow-path markers must execute from
   // the cold-segment standalone placements, not the composite.
-  harness::Experiment e(net::StackKind::kTcpIp, code::StackConfig::All(),
-                        code::StackConfig::All());
-  e.run();
-  auto& reg = e.world().client().registry();
+  const harness::Capture cap =
+      harness::capture_world(net::StackKind::kTcpIp, code::StackConfig::All(),
+                             code::StackConfig::All());
+  auto& reg = cap.world->client().registry();
 
   // Take the captured fast-path trace, wrap it in slow-path markers, and
   // lower both variants under the same PIN image.
-  code::PathTrace fast = e.client_trace();
+  code::PathTrace fast = cap.traces.client;
   code::PathTrace slow;
   slow.events.push_back(
       {code::EventKind::kMarker, code::kInvalidFn, 0,

@@ -103,9 +103,8 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults) {
 }
 
 TEST(Determinism, ClientAndServerTracesSimilarLength) {
-  harness::Experiment e(net::StackKind::kTcpIp, StackConfig::Std(),
-                        StackConfig::Std());
-  auto r = e.run();
+  const auto r = harness::run_config(net::StackKind::kTcpIp,
+                                     StackConfig::Std(), StackConfig::Std());
   // Symmetric ping-pong: both sides do nearly the same work.
   const double ratio = static_cast<double>(r.server.instructions) /
                        static_cast<double>(r.client.instructions);

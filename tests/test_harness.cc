@@ -12,8 +12,14 @@ namespace l96 {
 namespace {
 
 using code::StackConfig;
-using harness::Experiment;
 using harness::run_config;
+
+/// The client side of a capture, laid out under `cfg`.
+harness::MeasureSpec client_spec(const harness::Capture& cap,
+                                 const StackConfig& cfg) {
+  return harness::side_spec(cap, harness::Side::kClient, cfg,
+                            harness::MachineParams{});
+}
 
 class HarnessTcp : public ::testing::Test {
  protected:
@@ -115,9 +121,11 @@ TEST_F(HarnessTcp, EndToEndIncludesControllerOverhead) {
 }
 
 TEST_F(HarnessTcp, TeSamplesVaryLittle) {
-  Experiment e(net::StackKind::kTcpIp, StackConfig::Std(),
-               StackConfig::Std());
-  const auto samples = e.te_samples(5);
+  const harness::Capture cap = harness::capture_world(
+      net::StackKind::kTcpIp, StackConfig::Std(), StackConfig::Std());
+  const auto samples =
+      harness::measure_te_samples(cap, StackConfig::Std(), StackConfig::Std(),
+                                  harness::MachineParams{}, 5);
   ASSERT_EQ(samples.size(), 5u);
   double mn = samples[0], mx = samples[0];
   for (double s : samples) {
@@ -129,9 +137,10 @@ TEST_F(HarnessTcp, TeSamplesVaryLittle) {
 
 // --- Table 1: Section-2 instruction savings ----------------------------------
 
-std::uint64_t instructions_with(StackConfig cfg) {
-  Experiment e(net::StackKind::kTcpIp, cfg, cfg);
-  return e.run().client.instructions;
+std::uint64_t instructions_with(const StackConfig& cfg) {
+  const harness::Capture cap =
+      harness::capture_world(net::StackKind::kTcpIp, cfg, cfg);
+  return harness::lower_trace(client_spec(cap, cfg)).size();
 }
 
 TEST(Table1, EveryRiscChangeSavesInstructions) {
@@ -218,9 +227,10 @@ TEST(HarnessRpc, AllIsBestMcpi) {
 // --- footprint map (Figure 2 infrastructure) -----------------------------------
 
 TEST(Analysis, FootprintMapShapes) {
-  Experiment e(net::StackKind::kTcpIp, StackConfig::Std(),
-               StackConfig::Std());
-  const auto trace = e.lower_client();
+  const harness::Capture cap = harness::capture_world(
+      net::StackKind::kTcpIp, StackConfig::Std(), StackConfig::Std());
+  const auto trace =
+      harness::lower_trace(client_spec(cap, StackConfig::Std()));
   const std::string map = code::footprint_map(trace);
   // 256 sets, 64 per row -> 4 rows.
   EXPECT_EQ(std::count(map.begin(), map.end(), '\n'), 4);
@@ -228,11 +238,12 @@ TEST(Analysis, FootprintMapShapes) {
 }
 
 TEST(Analysis, BadLayoutShowsConcentratedConflicts) {
-  Experiment e(net::StackKind::kTcpIp, StackConfig::Bad(),
-               StackConfig::Bad());
-  const auto bad_trace = e.lower_client(StackConfig::Bad());
-  const auto all_map =
-      code::footprint_map(e.lower_client(StackConfig::All()));
+  const harness::Capture cap = harness::capture_world(
+      net::StackKind::kTcpIp, StackConfig::Bad(), StackConfig::Bad());
+  const auto bad_trace =
+      harness::lower_trace(client_spec(cap, StackConfig::Bad()));
+  const auto all_map = code::footprint_map(
+      harness::lower_trace(client_spec(cap, StackConfig::All())));
   const auto bad_map = code::footprint_map(bad_trace);
   const auto conflicts = [](const std::string& m) {
     return std::count(m.begin(), m.end(), '#');

@@ -123,7 +123,7 @@ TEST(LbWorld, HealthFailureEvictsBackendAndInvalidatesItsFlows) {
   (void)hp;
   const std::uint64_t deadline_us =
       (w.lb().backend_count() + 4) * 5'000 * 4;
-  ASSERT_TRUE(w.run_until(
+  ASSERT_TRUE(w.events().run_until(
       [&] { return !w.lb().healthy(static_cast<std::size_t>(sb)); },
       deadline_us));
 
@@ -137,7 +137,7 @@ TEST(LbWorld, HealthFailureEvictsBackendAndInvalidatesItsFlows) {
 
   // Recovery: reboot + probes flip it healthy again and restore shares.
   w.backend(static_cast<std::size_t>(sb)).reboot();
-  ASSERT_TRUE(w.run_until(
+  ASSERT_TRUE(w.events().run_until(
       [&] { return w.lb().healthy(static_cast<std::size_t>(sb)); },
       deadline_us));
   EXPECT_EQ(w.lb().rebuilds().back().cause, LbRebuildCause::kHealthUp);
@@ -155,7 +155,8 @@ TEST(LbWorld, EmptyPoolDropsNewFlowsThenRecovers) {
 
   // With no alive backend the SYN resolves to nobody: counted drop, no
   // memoization (the flow must retry, not cache the failure).
-  w.run_until([&] { return w.lb().drops_no_backend() >= 1; }, 1'000'000);
+  w.events().run_until([&] { return w.lb().drops_no_backend() >= 1; },
+                       1'000'000);
   EXPECT_GE(w.lb().drops_no_backend(), 1u);
   EXPECT_EQ(w.client_roundtrips(), 0u);
   EXPECT_EQ(w.lb().forwards(), 0u);
@@ -176,13 +177,15 @@ TEST(LbWorld, ChaosScriptDrivesBackendTargets) {
   tl.install(w, 0);
   w.start(1'000'000);
 
-  ASSERT_TRUE(w.run_until([&] { return w.lb().drained(1); }, 1'000'000));
+  ASSERT_TRUE(
+      w.events().run_until([&] { return w.lb().drained(1); }, 1'000'000));
   EXPECT_EQ(w.lb().rebuilds().back().cause, LbRebuildCause::kDrain);
-  ASSERT_TRUE(w.run_until([&] { return !w.lb().drained(1); }, 1'000'000));
   ASSERT_TRUE(
-      w.run_until([&] { return w.backend(2).crashed(); }, 1'000'000));
+      w.events().run_until([&] { return !w.lb().drained(1); }, 1'000'000));
   ASSERT_TRUE(
-      w.run_until([&] { return !w.backend(2).crashed(); }, 1'000'000));
+      w.events().run_until([&] { return w.backend(2).crashed(); }, 1'000'000));
+  ASSERT_TRUE(
+      w.events().run_until([&] { return !w.backend(2).crashed(); }, 1'000'000));
   EXPECT_EQ(w.backend(2).incarnation(), 2u);
 }
 
@@ -194,8 +197,8 @@ TEST(LbWorld, CapturesTracedForwardingActivation) {
 
   code::PathTrace trace;
   w.lb().arm_capture(&trace);
-  ASSERT_TRUE(
-      w.run_until([&] { return w.lb().capture_complete(); }, 1'000'000));
+  ASSERT_TRUE(w.events().run_until([&] { return w.lb().capture_complete(); },
+                                   1'000'000));
   ASSERT_FALSE(trace.empty());
 
   // The steady-state activation walks the declared forwarding path:

@@ -36,16 +36,15 @@ TEST(OutlineModes, AggressivePunishesUnprofiledBlocks) {
   // Lower a trace that executes a block the profile missed (a header-
   // prediction variant): under aggressive outlining that block now lives
   // out of line and costs extra control transfers.
-  harness::Experiment e(net::StackKind::kTcpIp, StackConfig::Out(),
-                        StackConfig::Out());
-  e.run();
-  auto& reg = e.world().client().registry();
+  const harness::Capture cap = harness::capture_world(
+      net::StackKind::kTcpIp, StackConfig::Out(), StackConfig::Out());
+  auto& reg = cap.world->client().registry();
 
   // Build an "incomplete profile": the captured trace minus every event of
   // one executed mainline block (tcp_output's win_check).
   const auto fn = reg.require("tcp_output");
   code::PathTrace incomplete;
-  for (const auto& ev : e.client_trace().events) {
+  for (const auto& ev : cap.traces.client.events) {
     if (ev.kind == code::EventKind::kBlock && ev.fn == fn &&
         ev.block == proto::blk::kOutWinCheck) {
       continue;
@@ -59,7 +58,7 @@ TEST(OutlineModes, AggressivePunishesUnprofiledBlocks) {
     b.set_profile(profile);
     return b.build();
   };
-  const code::CodeImage full_img = build(e.client_trace());
+  const code::CodeImage full_img = build(cap.traces.client);
   const code::CodeImage incomplete_img = build(incomplete);
 
   // With the complete profile the block stays inline (hot); with the
@@ -75,7 +74,7 @@ TEST(OutlineModes, AggressivePunishesUnprofiledBlocks) {
   StackConfig cfg = aggressive(StackConfig::Out());
   auto count_taken = [&](const code::CodeImage& img) {
     code::Lowering lower(reg, img, cfg);
-    const auto mt = lower.lower(e.client_trace());
+    const auto mt = lower.lower(cap.traces.client);
     std::uint64_t taken = 0;
     for (const auto& in : mt) {
       if (in.cls == sim::InstrClass::kCondBranch && in.taken) ++taken;
@@ -88,10 +87,9 @@ TEST(OutlineModes, AggressivePunishesUnprofiledBlocks) {
 TEST(OutlineModes, ConservativeIgnoresProfileGaps) {
   // The conservative discipline never outlines mainline code, profile or no
   // profile — the paper's robustness argument.
-  harness::Experiment e(net::StackKind::kTcpIp, StackConfig::Out(),
-                        StackConfig::Out());
-  e.run();
-  auto& reg = e.world().client().registry();
+  const harness::Capture cap = harness::capture_world(
+      net::StackKind::kTcpIp, StackConfig::Out(), StackConfig::Out());
+  auto& reg = cap.world->client().registry();
   const auto fn = reg.require("tcp_output");
 
   code::PathTrace empty_profile;

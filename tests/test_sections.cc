@@ -3,7 +3,10 @@
 // harness::emit_section.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -18,6 +21,32 @@ using harness::find_section;
 using harness::Json;
 using harness::kSectionManifest;
 using harness::section_schema;
+
+TEST(WriteJsonTest, CreatesParentDirsAndWritesDumpNewline) {
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "l96_write_json";
+  std::filesystem::remove_all(root);
+  const std::string path = (root / "a" / "b" / "out.json").string();
+  const Json j = Json::object().set("k", 1).set("v", Json::array());
+  harness::write_json(path, j);
+
+  std::ifstream f(path);
+  ASSERT_TRUE(f.good());
+  std::stringstream buf;
+  buf << f.rdbuf();
+  EXPECT_EQ(buf.str(), j.dump() + "\n");
+
+  // A path that cannot be opened for writing (here: a directory) throws
+  // an error naming it.
+  const std::string dir = (root / "a").string();
+  try {
+    harness::write_json(dir, j);
+    ADD_FAILURE() << "writing to a directory did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos);
+  }
+  std::filesystem::remove_all(root);
+}
 
 TEST(SectionManifestTest, RowsAreUniqueAndWellFormed) {
   std::set<std::pair<std::string, int>> seen;

@@ -1,6 +1,6 @@
 // Tests for the SweepRunner subsystem: the trace-capture cache must capture
 // each functional configuration exactly once, the worker pool must produce
-// byte-identical numbers to the serial Experiment path in deterministic
+// byte-identical numbers to the serial run_config path in deterministic
 // order, and the JSON metrics emission must be well-formed.
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@ std::vector<SweepJob> table8_jobs() {
 
 TEST(SweepRunner, MatchesSerialPathExactly) {
   // The acceptance bar: a Table-8-style sweep through the runner produces
-  // byte-identical cycle/CPI/mCPI numbers to the serial Experiment path.
+  // byte-identical cycle/CPI/mCPI numbers to the serial run_config path.
   const auto jobs = table8_jobs();
   SweepRunner runner(2);
   const auto outcomes = runner.run(jobs);

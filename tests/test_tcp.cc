@@ -23,7 +23,7 @@ class TcpWorld : public ::testing::Test {
 
 TEST_F(TcpWorld, HandshakeEstablishesBothSides) {
   world.start(1);
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [&] {
         return client_conn() != nullptr &&
                client_conn()->state() == proto::TcpState::kEstablished;
@@ -107,9 +107,12 @@ TEST_F(TcpWorld, CloseHandshakeReachesClosedStates) {
   ASSERT_TRUE(world.run_until_roundtrips(5));
   auto* conn = client_conn();
   conn->close();
-  world.run_until([&] { return conn->state() == proto::TcpState::kFinWait2 ||
-                               conn->state() == proto::TcpState::kTimeWait; },
-                  10'000'000);
+  world.events().run_until(
+      [&] {
+        return conn->state() == proto::TcpState::kFinWait2 ||
+               conn->state() == proto::TcpState::kTimeWait;
+      },
+      10'000'000);
   EXPECT_TRUE(conn->state() == proto::TcpState::kFinWait2 ||
               conn->state() == proto::TcpState::kTimeWait);
 }
@@ -146,11 +149,10 @@ TEST_F(TcpWorld, HeaderPredictionCostsOnBidirectional) {
   // runs and fails on bi-directional traffic) — Section 2.3.
   auto hp = code::StackConfig::Std();
   hp.header_prediction = true;
-  harness::Experiment e1(net::StackKind::kTcpIp, code::StackConfig::Std(),
-                         code::StackConfig::Std());
-  harness::Experiment e2(net::StackKind::kTcpIp, hp, hp);
-  auto r1 = e1.run();
-  auto r2 = e2.run();
+  const auto r1 = harness::run_config(net::StackKind::kTcpIp,
+                                      code::StackConfig::Std(),
+                                      code::StackConfig::Std());
+  const auto r2 = harness::run_config(net::StackKind::kTcpIp, hp, hp);
   EXPECT_GT(r2.client.instructions, r1.client.instructions);
   EXPECT_LT(r2.client.instructions, r1.client.instructions + 40);
 }
@@ -185,9 +187,9 @@ TEST_F(TcpWorld, RetransmitBackoffFollowsExponentialSchedule) {
   // doubling per timeout, clamped at max_rto_us.
   world.start(1000);
   ASSERT_TRUE(world.run_until_roundtrips(3));
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [&] { return client_conn()->bytes_unacked() == 0; }, 5'000'000));
-  world.run_until([] { return false; }, 100'000);  // drain stray ACKs
+  world.events().run_until([] { return false; }, 100'000);  // drain stray ACKs
 
   world.server().crash();  // every segment now goes unanswered
 
@@ -203,7 +205,7 @@ TEST_F(TcpWorld, RetransmitBackoffFollowsExponentialSchedule) {
   std::uint64_t k = 0;
   for (const std::uint64_t want : expected_deltas) {
     ++k;
-    ASSERT_TRUE(world.run_until(
+    ASSERT_TRUE(world.events().run_until(
         [c, base, k] { return c->retransmits() >= base + k; }, 10'000'000));
     EXPECT_EQ(world.events().now() - prev, want) << "retransmission " << k;
     prev = world.events().now();
@@ -234,7 +236,7 @@ TEST_F(TcpWorld, CloseWaitStillFlushesBufferedData) {
   world.server().tcp()->listen(9000, &server_sink);
   proto::TcpConn* cc = world.client().tcp()->connect(
       world.server().address().ip, 12'000, 9000, &client_sink);
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [cc] { return cc->state() == proto::TcpState::kEstablished; },
       5'000'000));
 
@@ -246,23 +248,23 @@ TEST_F(TcpWorld, CloseWaitStillFlushesBufferedData) {
   ASSERT_NE(sc, nullptr);
   // The client observes kEstablished one half-RTT before the server does;
   // close() from kSynRcvd would be a no-op.
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [sc] { return sc->state() == proto::TcpState::kEstablished; },
       5'000'000));
   sc->close();
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [cc] { return cc->state() == proto::TcpState::kCloseWait; },
       5'000'000));
 
   // The half-open direction still delivers.
   const std::uint8_t payload[16] = {};
   cc->send(payload);
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [&server_sink] { return server_sink.bytes >= 16; }, 5'000'000));
 
   // And the orderly close completes from kCloseWait through kLastAck.
   cc->close();
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [cc] { return cc->state() == proto::TcpState::kClosed; }, 5'000'000));
 }
 

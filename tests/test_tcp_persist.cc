@@ -126,21 +126,21 @@ TEST_F(TcpPersist, SendBufferSurvivesPartialAcksLossAndProbes) {
   conn->send(std::span<const std::uint8_t>(stream).subspan(3 * mss));
   EXPECT_EQ(conn->send_buffer().size(), stream.size());
 
-  ASSERT_TRUE(world.run_until([&] { return sink.received >= 2 * mss; },
-                              10'000'000));
+  ASSERT_TRUE(world.events().run_until([&] { return sink.received >= 2 * mss; },
+                                       10'000'000));
   EXPECT_LT(conn->send_buffer().size(), stream.size());  // partial ACKs
 
   world.wire().drop_next(1);
-  ASSERT_TRUE(world.run_until([&] { return conn->retransmits() > 0; },
-                              10'000'000));
+  ASSERT_TRUE(world.events().run_until([&] { return conn->retransmits() > 0; },
+                                       10'000'000));
 
   world.server().tcp()->set_receive_window_override(0);
-  ASSERT_TRUE(world.run_until([&] { return conn->window_probes() > 0; },
-                              30'000'000));
+  ASSERT_TRUE(world.events().run_until(
+      [&] { return conn->window_probes() > 0; }, 30'000'000));
   EXPECT_LT(sink.received, stream.size());
 
   world.server().tcp()->set_receive_window_override(~0u);
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [&] {
         return sink.received >= stream.size() && conn->bytes_unacked() == 0;
       },

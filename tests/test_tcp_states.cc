@@ -78,7 +78,7 @@ TEST_F(TcpStates, SecondConnectionAfterClose) {
   // A new connection from a different client port completes and ping-pongs.
   world.client().tcptest()->start(world.server().address().ip, 5002, 5001,
                                   5);
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [&] { return world.client().tcptest()->roundtrips() >= 5; },
       30'000'000));
 }

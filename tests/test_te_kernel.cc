@@ -75,7 +75,8 @@ std::vector<double> reference_samples(const Row& r,
   return out;
 }
 
-// Sweep and Experiment samples against the reference.
+// Sweep samples and measure_te_samples() over one capture against the
+// reference.
 void expect_reference_samples(const Row& r) {
   const MachineParams params = MachineParams::defaults();
   constexpr std::uint64_t kSamples = 3;
@@ -83,14 +84,16 @@ void expect_reference_samples(const Row& r) {
   const std::vector<double> want = reference_samples(r, params, kSamples);
   harness::SweepRunner runner(2);
   const auto out = runner.run({job_of(r, params, kSamples)});
-  harness::Experiment e(r.kind, r.client, r.server, params);
-  const std::vector<double> serial = e.te_samples(kSamples);
+  const std::vector<double> serial = harness::measure_te_samples(
+      harness::capture_world(r.kind, r.client, r.server,
+                             params.warmup_roundtrips),
+      r.client, r.server, params, kSamples);
 
   ASSERT_EQ(out[0].te_samples.size(), kSamples);
   ASSERT_EQ(serial.size(), kSamples);
   for (std::uint64_t k = 0; k < kSamples; ++k) {
     EXPECT_EQ(out[0].te_samples[k], want[k]) << "sweep sample " << k;
-    EXPECT_EQ(serial[k], want[k]) << "experiment sample " << k;
+    EXPECT_EQ(serial[k], want[k]) << "measure_te_samples sample " << k;
   }
 }
 
@@ -107,6 +110,33 @@ TEST(TeSampleReference, TcpipPin) {
 TEST(TeSampleReference, RpcAll) {
   expect_reference_samples({"rpc/ALL", net::StackKind::kRpc,
                             StackConfig::All(), StackConfig::All()});
+}
+
+// lower_trace() is the instruction stream measure_side() replays: whole,
+// and cut at the transmit split.
+TEST(LowerTrace, MatchesMeasureSideCounts) {
+  const Row rows[] = {{"tcpip/STD", net::StackKind::kTcpIp,
+                       StackConfig::Std(), StackConfig::Std()},
+                      {"rpc/ALL", net::StackKind::kRpc, StackConfig::All(),
+                       StackConfig::All()}};
+  const MachineParams params = MachineParams::defaults();
+  for (const Row& r : rows) {
+    const harness::Capture cap =
+        harness::capture_world(r.kind, r.client, r.server);
+    for (const harness::Side side :
+         {harness::Side::kClient, harness::Side::kServer}) {
+      const MeasureSpec spec = harness::side_spec(
+          cap, side, side == harness::Side::kClient ? r.client : r.server,
+          params);
+      const harness::SideMeasurement m = harness::measure_side(spec);
+      const char* who = side == harness::Side::kClient ? " client" : " server";
+      EXPECT_EQ(harness::lower_trace(spec).size(), m.instructions)
+          << r.label << who;
+      EXPECT_EQ(harness::lower_trace(spec, spec.split).size(),
+                m.critical_instructions)
+          << r.label << who;
+    }
+  }
 }
 
 // --- literal pins at default params -----------------------------------------

@@ -29,7 +29,7 @@ TEST(TimerHygiene, TcpTeardownMidRetransmit) {
   EXPECT_EQ(world.client().tcp()->open_connections(), 0u);
   EXPECT_EQ(world.server().tcp()->open_connections(), 0u);
   // Whatever was in flight lands on closed stacks; nothing may re-arm.
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [&] { return world.events().pending() == 0; }, 60'000'000));
   EXPECT_EQ(world.events().pending(), 0u);
   EXPECT_TRUE(world.wire().conserved());
@@ -51,7 +51,7 @@ TEST(TimerHygiene, GracefulCloseUnderContinuingFaults) {
   world.client().tcptest()->set_close_on_peer_close(true);
   world.server().tcptest()->set_close_on_peer_close(true);
   world.client().tcptest()->connection()->close();
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [&] { return world.events().pending() == 0; }, 600'000'000));
   EXPECT_EQ(world.events().pending(), 0u);
   EXPECT_TRUE(world.wire().conserved());
@@ -81,7 +81,7 @@ TEST(TimerHygiene, ChanFlushMidRetransmit) {
   for (std::uint16_t ch = 0; ch < world.client().chan()->nchans(); ++ch) {
     EXPECT_FALSE(world.client().chan()->busy(ch));
   }
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [&] { return world.events().pending() == 0; }, 60'000'000));
   EXPECT_EQ(world.events().pending(), 0u);
   EXPECT_FALSE(replied);  // the call was abandoned, not answered late
@@ -129,7 +129,7 @@ TEST(TimerHygiene, IpReassemblyExpiresAbandonedFragments) {
                    code::StackConfig::Std());
   world.start(2);
   ASSERT_TRUE(world.run_until_roundtrips(2));
-  ASSERT_TRUE(world.run_until(
+  ASSERT_TRUE(world.events().run_until(
       [&] { return world.events().pending() == 0; }, 60'000'000));
 
   // A middle IP fragment (MF set) whose siblings never arrive.

@@ -16,8 +16,6 @@
 //   --json                emit the l96.missmap.v1 sections as JSON instead
 //   --out FILE            also write the JSON sections to FILE
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -118,14 +116,10 @@ int main(int argc, char** argv) {
                         .set("missmap", harness::missmap_json(o.result, top)));
     }
     if (!out_path.empty()) {
-      const std::filesystem::path p(out_path);
-      if (p.has_parent_path()) {
-        std::filesystem::create_directories(p.parent_path());
-      }
-      std::ofstream f(out_path);
-      f << out.dump() << "\n";
-      if (!f) {
-        std::fprintf(stderr, "missmap: cannot write %s\n", out_path.c_str());
+      try {
+        harness::write_json(out_path, out);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "missmap: %s\n", e.what());
         return 1;
       }
     }
