@@ -42,13 +42,13 @@
 //
 //   bench_classifier_scale [packets-per-row] [out-dir]
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "code/classifier.h"
+#include "harness/argparse.h"
 #include "harness/classify.h"
 #include "harness/fleet.h"
 #include "harness/json.h"
@@ -95,9 +95,9 @@ harness::Json engine_json(const harness::ClassifierCostMeasurement& m) {
 int main(int argc, char** argv) {
   std::uint64_t packets = 192;
   std::string out_dir = "bench/out";
-  if (argc > 1) packets = std::strtoull(argv[1], nullptr, 10);
+  const bool parsed = argc <= 1 || harness::parse_unsigned(argv[1], &packets);
   if (argc > 2) out_dir = argv[2];
-  if (packets == 0) {
+  if (!parsed || packets == 0) {
     std::fprintf(stderr,
                  "usage: bench_classifier_scale [packets>0] [out-dir]\n");
     return 2;

@@ -73,12 +73,9 @@ harness::CaptureResult capture_error_traces(net::World& w) {
   // whole activation is critical-path).
   w.wire().injector().force(1, net::FaultKind::kCorrupt, kCorruptOffset,
                             /*has_arg=*/true);
-  w.client().arm_capture(&et.client);
-  if (!w.events().run_until([&] { return w.client().capture_complete(); },
-                            10'000'000)) {
-    throw std::runtime_error("client error-path capture did not complete");
-  }
-  et.client_split = w.client().tx_split();
+  et.client_split =
+      harness::capture_next(w.events(), w.client().front_end(), et.client,
+                            "client error-path capture did not complete");
   // The drop is recovered by the retransmission timer; restabilize.
   if (!w.run_until_roundtrips(w.client_roundtrips() + 4)) {
     throw std::runtime_error("recovery after client error capture stalled");
@@ -94,12 +91,9 @@ harness::CaptureResult capture_error_traces(net::World& w) {
   if (!w.run_until_roundtrips(rt + 1)) {
     throw std::runtime_error("pre-arm roundtrip before server capture stalled");
   }
-  w.server().arm_capture(&et.server);
-  if (!w.events().run_until([&] { return w.server().capture_complete(); },
-                            10'000'000)) {
-    throw std::runtime_error("server error-path capture did not complete");
-  }
-  et.server_split = w.server().tx_split();
+  et.server_split =
+      harness::capture_next(w.events(), w.server().front_end(), et.server,
+                            "server error-path capture did not complete");
   if (!w.run_until_roundtrips(w.client_roundtrips() + 4)) {
     throw std::runtime_error("recovery after server error capture stalled");
   }

@@ -45,12 +45,12 @@
 //   bench_fleet_scaling [packets-per-row] [out-dir] [jumbo-connections]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "harness/argparse.h"
 #include "harness/runner.h"
 #include "harness/shard.h"
 #include "harness/sweep.h"
@@ -62,10 +62,11 @@ int main(int argc, char** argv) {
   std::uint64_t packets = 192;
   std::string out_dir = "bench/out";
   std::size_t jumbo_conns = 100'000;
-  if (argc > 1) packets = std::strtoull(argv[1], nullptr, 10);
+  const bool parsed =
+      (argc <= 1 || harness::parse_unsigned(argv[1], &packets)) &&
+      (argc <= 3 || harness::parse_unsigned(argv[3], &jumbo_conns));
   if (argc > 2) out_dir = argv[2];
-  if (argc > 3) jumbo_conns = std::strtoull(argv[3], nullptr, 10);
-  if (packets == 0 || jumbo_conns == 0) {
+  if (!parsed || packets == 0 || jumbo_conns == 0) {
     std::fprintf(stderr, "usage: bench_fleet_scaling [packets>0] [out-dir] "
                          "[jumbo-connections>0]\n");
     return 2;

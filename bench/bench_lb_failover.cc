@@ -30,12 +30,12 @@
 //   bench_lb_failover [packets-per-row] [out-dir]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "harness/argparse.h"
 #include "harness/runner.h"
 #include "harness/tables.h"
 
@@ -54,9 +54,9 @@ struct Scenario {
 int main(int argc, char** argv) {
   std::uint64_t packets = 160;
   std::string out_dir = "bench/out";
-  if (argc > 1) packets = std::strtoull(argv[1], nullptr, 10);
+  const bool parsed = argc <= 1 || harness::parse_unsigned(argv[1], &packets);
   if (argc > 2) out_dir = argv[2];
-  if (packets == 0) {
+  if (!parsed || packets == 0) {
     std::fprintf(stderr, "usage: bench_lb_failover [packets>0] [out-dir]\n");
     return 2;
   }

@@ -30,11 +30,11 @@
 //   bench_recovery_latency [packets-per-row] [out-dir]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "harness/argparse.h"
 #include "harness/fleet.h"
 #include "harness/recovery.h"
 #include "harness/runner.h"
@@ -55,9 +55,9 @@ struct Scenario {
 int main(int argc, char** argv) {
   std::uint64_t packets = 160;
   std::string out_dir = "bench/out";
-  if (argc > 1) packets = std::strtoull(argv[1], nullptr, 10);
+  const bool parsed = argc <= 1 || harness::parse_unsigned(argv[1], &packets);
   if (argc > 2) out_dir = argv[2];
-  if (packets == 0) {
+  if (!parsed || packets == 0) {
     std::fprintf(stderr,
                  "usage: bench_recovery_latency [packets>0] [out-dir]\n");
     return 2;

@@ -1,12 +1,17 @@
 #include "harness/argparse.h"
 
+#include <cctype>
 #include <iostream>
 #include <sstream>
 
 namespace l96::harness {
 
 bool parse_double(const std::string& s, double* out) {
-  if (s.empty()) return false;
+  // strtod would skip leading whitespace and take a '+'.
+  if (s.empty() || s[0] == '+' ||
+      std::isspace(static_cast<unsigned char>(s[0])) != 0) {
+    return false;
+  }
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(s.c_str(), &end);

@@ -96,12 +96,13 @@ class ArgParser {
 
 /// Whole-token numeric parses, shared by add_option and the tools' own
 /// positional and custom-option lambdas: the token must be a decimal
-/// number with nothing after it ("8x", "abc" and "" fail) that fits in T;
-/// unsigned parses also refuse a leading '-'.  *out is written only on
-/// success.
+/// number with nothing around it ("8x", " 8", "abc" and "" fail) that fits
+/// in T; unsigned parses must start with a digit (no sign: "+8" and "-8"
+/// fail), double parses may carry a '-' but not a '+'.  *out is written
+/// only on success.
 template <typename T>
 bool parse_unsigned(const std::string& s, T* out) {
-  if (s.empty() || s[0] == '-') return false;
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);

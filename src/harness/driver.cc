@@ -163,7 +163,7 @@ void Driver::open() {
   for (net::Host* h : t_.servers) {
     h->tcp()->listen(kFleetServerPort, &sink_);
     // A rebooted server must serve again: the fresh stack re-listens (the
-    // deliver hook and flow cache live on the Host and survive the crash).
+    // front end and its flow cache live on the Host and survive the crash).
     h->set_reboot_hook(
         [h, this] { h->tcp()->listen(kFleetServerPort, &sink_); });
   }
@@ -281,7 +281,9 @@ Run Driver::run() {
   const std::uint64_t pace_span_us = last_end_us + last_end_us / 4;
 
   run_.samples.reserve(p_.work->packets + 16);
-  t_.price_from_here([this](const code::FlowLookupResult& lr, bool slow) {
+  // The handshakes warmed the lookup counters: restart them here.
+  t_.front->flow_cache()->reset_stats();
+  t_.front->set_hook([this](const code::FlowLookupResult& lr, bool slow) {
     resolve_attribution();
     run_.samples.push_back(
         {current_burst_, pricer_.in_burst ? 0u : 1u, pricer_.price(lr, slow)});
@@ -332,6 +334,7 @@ Run Driver::run() {
     if (ev_.now() < horizon) idle(horizon - ev_.now());
   }
   resolve_attribution();
+  t_.front->set_hook(nullptr);  // it holds `this`
   for (proto::TcpConn* c : conns_) {
     if (c != nullptr) fold(*c);
   }
@@ -389,10 +392,7 @@ Topology pair(net::World& world) {
   t.servers = {&world.server()};
   t.wires = {&world.wire()};
   t.dst_ip = world.server().address().ip;
-  t.price_from_here = [&world](PriceHook h) {
-    world.server().flow_cache()->reset_stats();
-    world.server().set_deliver_hook(std::move(h));
-  };
+  t.front = &world.server().front_end();
   t.install = [&world](const net::ChaosTimeline& c, std::uint64_t base) {
     c.install(world, base);
   };
@@ -409,12 +409,7 @@ Topology tier(net::LbWorld& world) {
     t.wires.push_back(&world.backend_wire(i));
   }
   t.dst_ip = world.vip();
-  t.price_from_here = [&world](PriceHook h) {
-    world.lb().conn_track().reset_stats();
-    world.lb().set_forward_hook(
-        [h = std::move(h)](const code::FlowLookupResult& lr, bool slow,
-                           int) { h(lr, slow); });
-  };
+  t.front = &world.lb().front_end();
   t.install = [&world](const net::ChaosTimeline& c, std::uint64_t base) {
     c.install(world, base);
   };

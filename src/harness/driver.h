@@ -31,6 +31,7 @@
 
 #include "harness/fleet_internal.h"
 #include "net/chaos.h"
+#include "net/front_end.h"
 
 namespace l96::harness::driver {
 
@@ -54,10 +55,6 @@ struct BurstPricer {
   double price(const code::FlowLookupResult& lr, bool slow);
 };
 
-/// Receives every front-end classification: the lookup result and whether
-/// the frame took the slow path.
-using PriceHook = std::function<void(const code::FlowLookupResult&, bool)>;
-
 /// Who sends and who serves; build one with pair() or tier().
 struct Topology {
   net::StackKind kind = net::StackKind::kTcpIp;  ///< kTcpIp or kRpc
@@ -69,16 +66,16 @@ struct Topology {
   /// Every wire a failure script can darken (fallout's blackout_drops).
   std::vector<net::Wire*> wires;
   std::uint32_t dst_ip = 0;  ///< the server's address or the LB's VIP
-  /// Zero the front end's lookup counters (the handshakes warmed them) and
-  /// price every frame it classifies from now on.
-  std::function<void(PriceHook)> price_from_here;
+  /// The priced front end: every frame it classifies once the fleet is
+  /// established is a sample.  Its flow cache's counters restart there.
+  net::FrontEnd* front = nullptr;
   std::function<void(const net::ChaosTimeline&, std::uint64_t)> install;
 };
 
 /// Client -> server over one World: TCP/IP or RPC, priced at the server's
-/// flow-cache deliver hook.
+/// front end.
 Topology pair(net::World& world);
-/// Client -> LB -> backend pool, priced at the LB's forward hook.
+/// Client -> LB -> backend pool, priced at the LB's front end.
 Topology tier(net::LbWorld& world);
 
 /// What the driver walks and how it paces it.

@@ -34,18 +34,28 @@ CaptureResult capture_traces(net::World& world,
   if (!world.run_until_roundtrips(warm)) {
     capture_fail(world, "world did not reach warm-up roundtrips", warm);
   }
-  world.client().arm_capture(&r.client);
+  world.client().front_end().arm_capture(&r.client);
   if (!world.run_until_roundtrips(warm + 1)) {
     capture_fail(world, "client capture roundtrip did not complete", warm + 1);
   }
-  r.client_split = world.client().tx_split();
+  r.client_split = world.client().front_end().tx_split();
 
-  world.server().arm_capture(&r.server);
+  world.server().front_end().arm_capture(&r.server);
   if (!world.run_until_roundtrips(warm + 2)) {
     capture_fail(world, "server capture roundtrip did not complete", warm + 2);
   }
-  r.server_split = world.server().tx_split();
+  r.server_split = world.server().front_end().tx_split();
   return r;
+}
+
+std::size_t capture_next(xk::EventManager& events, net::FrontEnd& front,
+                         code::PathTrace& trace, const std::string& stalled,
+                         std::uint64_t max_us) {
+  front.arm_capture(&trace);
+  if (!events.run_until([&] { return front.capture_complete(); }, max_us)) {
+    throw std::runtime_error(stalled);
+  }
+  return front.tx_split();
 }
 
 Capture capture_world(net::StackKind kind, const code::StackConfig& ccfg,

@@ -96,6 +96,14 @@ struct CaptureResult {
 CaptureResult capture_traces(net::World& world,
                              std::uint64_t warmup_roundtrips);
 
+/// Record the next receive activation at `front` into `trace`: arm the
+/// capture, run `events` until it completes, and return its tx split.
+/// Throws std::runtime_error(`stalled`) when none completes within
+/// `max_us` of virtual time.
+std::size_t capture_next(xk::EventManager& events, net::FrontEnd& front,
+                         code::PathTrace& trace, const std::string& stalled,
+                         std::uint64_t max_us = 10'000'000);
+
 /// A running world with one steady-state roundtrip captured per side: what
 /// every measurement borrows its registries and traces from.  The traces
 /// reference function ids of the world's per-host registries, so the world

@@ -237,7 +237,7 @@ driver::Run run_fleet_core(const FleetSpec& spec, const BurstCostTable& costs,
   plan.pricer.costs = &costs;
   run = driver::drive(driver::pair(*world), plan);
   run.result.spec = spec;
-  run.result.cache = world->server().flow_cache()->stats();
+  run.result.cache = world->server().front_end().flow_cache()->stats();
   return run;
 }
 

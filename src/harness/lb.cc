@@ -28,13 +28,9 @@ BurstCostTable measure_lb_costs(const code::StackConfig& cfg,
 
   // Fast: the next client frame rides the warmed pinned entry.
   code::PathTrace fast;
-  world.lb().arm_capture(&fast);
-  if (!world.events().run_until([&] { return world.lb().capture_complete(); },
-                                10'000'000)) {
-    throw std::runtime_error(
-        "measure_lb_costs: fast-path capture stalled for config " + cfg.name);
-  }
-  const std::size_t fast_split = world.lb().tx_split();
+  const std::size_t fast_split = capture_next(
+      world.events(), world.lb().front_end(), fast,
+      "measure_lb_costs: fast-path capture stalled for config " + cfg.name);
 
   // Slow: force every conn-track entry stale so the next frame records
   // the standalone rebind (guard failure, Maglev hash + probe, re-pin).
@@ -42,13 +38,9 @@ BurstCostTable measure_lb_costs(const code::StackConfig& cfg,
     world.lb().conn_track().invalidate_path(static_cast<int>(b));
   }
   code::PathTrace slow;
-  world.lb().arm_capture(&slow);
-  if (!world.events().run_until([&] { return world.lb().capture_complete(); },
-                                10'000'000)) {
-    throw std::runtime_error(
-        "measure_lb_costs: slow-path capture stalled for config " + cfg.name);
-  }
-  const std::size_t slow_split = world.lb().tx_split();
+  const std::size_t slow_split = capture_next(
+      world.events(), world.lb().front_end(), slow,
+      "measure_lb_costs: slow-path capture stalled for config " + cfg.name);
 
   MeasureSpec fs;
   fs.kind = net::StackKind::kLb;

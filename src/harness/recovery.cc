@@ -62,7 +62,7 @@ RecoveryResult run_recovery(const RecoverySpec& rspec,
   r.spec = rspec;
   r.fleet = run.result;
   r.fleet.spec = spec;
-  r.fleet.cache = world->server().flow_cache()->stats();
+  r.fleet.cache = world->server().front_end().flow_cache()->stats();
   r.lost_packets = run.lost_packets;
   r.reconnects = run.reconnects;
   r.fallout = run.fallout;

@@ -4,29 +4,24 @@
 #include <cstdio>
 
 #include "harness/runner.h"
+#include "harness/stats.h"
 #include "net/chaos.h"
 
 namespace l96::harness {
 
 namespace {
 
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-}
-
 std::uint64_t hash_fault_log(const std::vector<net::FaultRecord>& log) {
   // The true FNV-1a offset basis (the sample digests use a truncated one;
   // see harness/stats.h).
   std::uint64_t h = 14695981039346656037ull;
   for (const net::FaultRecord& r : log) {
-    fnv_mix(h, r.frame_ix);
-    fnv_mix(h, r.at_us);
-    fnv_mix(h, r.port);
-    fnv_mix(h, static_cast<std::uint64_t>(r.kind));
-    fnv_mix(h, r.arg);
+    // Every field widened to 8 bytes, as the log hash always mixed them.
+    fnv1a_value(h, r.frame_ix);
+    fnv1a_value(h, r.at_us);
+    fnv1a_value(h, std::uint64_t{r.port});
+    fnv1a_value(h, static_cast<std::uint64_t>(r.kind));
+    fnv1a_value(h, std::uint64_t{r.arg});
   }
   return h;
 }

@@ -14,13 +14,6 @@ proto::RuleSetKind rule_set_kind(StackKind kind) {
                                    : proto::RuleSetKind::kRpc;
 }
 
-// Classifier rules for the inbound fast path: the canonical per-stack rule
-// list lives in protocols/rulegen.h (shared with the scaled-rule-set
-// generator so the real path can never drift between the two).
-code::PacketClassifier make_classifier(StackKind kind) {
-  return proto::build_scaled_classifier(rule_set_kind(kind), 0, 0);
-}
-
 }  // namespace
 
 Host::Host(std::string name, StackKind kind, const code::StackConfig& cfg,
@@ -42,7 +35,9 @@ Host::Host(std::string name, StackKind kind, const code::StackConfig& cfg,
       wire_(wire),
       wire_port_(wire_port),
       tcp_conn_buckets_(tcp_conn_buckets),
-      classifier_(make_classifier(kind)) {
+      // The real fast-path rules of protocols/rulegen.h, no decoys.
+      front_(recorder_, registry_, cfg.path_inlining,
+             proto::build_scaled_classifier(rule_set_kind(kind), 0, 0)) {
   if (kind_ == StackKind::kLb) {
     throw std::invalid_argument(
         "Host: kLb is the forwarding tier; build a net::LbHost instead");
@@ -122,17 +117,14 @@ void Host::crash() {
   if (crashed_) return;
   crashed_ = true;
   // A capture in progress dies with the host.
-  if (capture_sink_ != nullptr) {
-    recorder_.disable();
-    capture_sink_ = nullptr;
-  }
+  front_.cancel_capture();
   teardown_stack();
   // Kill the stack's timers without firing them; wire deliveries and the
   // chaos script (owner 0) keep going.
   purged_events_ += port_.manager().purge_owner(port_.owner());
   // Every cached classification refers to the dead incarnation's bindings:
   // flush entries (hit/miss/stale counters survive for reporting).
-  if (flow_cache_ != nullptr) flow_cache_->clear();
+  if (code::FlowCache* cache = front_.flow_cache()) cache->clear();
 }
 
 void Host::reboot() {
@@ -159,47 +151,40 @@ void Host::set_tcp_max_syn_rexmts(std::uint32_t n) {
   if (tcp_ != nullptr) tcp_->set_max_syn_rexmts(n);
 }
 
-void Host::arm_capture(code::PathTrace* sink) {
-  capture_sink_ = sink;
-  capture_done_ = false;
-  tx_split_ = 0;
-}
-
 Host::~Host() {
   if (tcp_ != nullptr) tcp_->set_conn_map_hook(nullptr);
-  deliver_hook_ = nullptr;
 }
 
 void Host::enable_flow_cache(code::FlowCacheScheme scheme,
                              std::size_t capacity,
                              code::FlowCacheCosts costs) {
-  flow_cache_ = std::make_unique<code::FlowCache>(
+  front_.set_flow_cache(std::make_unique<code::FlowCache>(
       kind_ == StackKind::kTcpIp ? proto::tcpip_flow_key_spec()
                                  : proto::rpc_flow_key_spec(),
-      scheme, capacity, costs);
+      scheme, capacity, costs));
   wire_flow_cache_hook();
 }
 
 void Host::install_scaled_classifier(std::size_t decoy_rules,
                                      std::uint64_t seed) {
-  classifier_ =
-      proto::build_scaled_classifier(rule_set_kind(kind_), decoy_rules, seed);
+  front_.set_classifier(
+      proto::build_scaled_classifier(rule_set_kind(kind_), decoy_rules, seed));
 }
 
 void Host::wire_flow_cache_hook() {
-  if (flow_cache_ == nullptr || kind_ != StackKind::kTcpIp ||
-      tcp_ == nullptr) {
+  code::FlowCache* cache = front_.flow_cache();
+  if (cache == nullptr || kind_ != StackKind::kTcpIp || tcp_ == nullptr) {
     return;
   }
   // Connection churn: when a connection leaves the demux map its flow
   // key may be rebound later; any cached classification for it is then
   // stale and must fail the inlined composite's guard.  Re-wired to the
   // fresh Tcp after a reboot.
-  tcp_->set_conn_map_hook([this](const proto::TcpConn& c, bool bound) {
+  tcp_->set_conn_map_hook([cache](const proto::TcpConn& c, bool bound) {
     if (bound) return;
     const std::uint32_t vals[] = {c.remote_ip(), c.remote_port(),
                                   c.local_port()};
-    flow_cache_->invalidate(flow_cache_->key_spec().key_of_values(vals));
+    cache->invalidate(cache->key_spec().key_of_values(vals));
   });
 }
 
@@ -210,51 +195,7 @@ void Host::deliver(std::vector<std::uint8_t> frame) {
     ++frames_to_dead_;
     return;
   }
-  const bool capturing = capture_sink_ != nullptr;
-  if (capturing) {
-    capture_sink_->clear();
-    recorder_.enable(capture_sink_);
-  }
-  // Section 3.3: with path-inlining the optimized inbound code handles only
-  // packets that really follow the assumed path; everything else must take
-  // the standalone slow-path code.  A stale flow-cache hit (connection
-  // churn) also fails the composite's guard: the cached prediction refers
-  // to a binding that no longer exists.
-  bool slow = false;
-  if (cfg_.path_inlining) {
-    code::FlowLookupResult lr;
-    if (flow_cache_ != nullptr) {
-      lr = flow_cache_->lookup(classifier_, frame);
-    } else {
-      lr.path_id = classifier_.classify(frame);
-    }
-    if (lr.path_id.has_value() && !lr.stale) {
-      ++classifier_hits_;
-    } else {
-      ++classifier_misses_;
-      slow = true;
-      recorder_.marker(code::Marker::kSlowPathBegin);
-    }
-    if (flow_cache_ != nullptr && deliver_hook_) deliver_hook_(lr, slow);
-  }
-  lance_->rx_frame(frame);
-  if (slow) recorder_.marker(code::Marker::kSlowPathEnd);
-  if (capturing) {
-    recorder_.disable();
-    // Locate the last transmission within the activation: the events after
-    // the outbound lance_send's "kick" block overlap the frame's flight.
-    tx_split_ = capture_sink_->events.size();
-    const code::FnId lance_send = registry_.require("lance_send");
-    for (std::size_t i = 0; i < capture_sink_->events.size(); ++i) {
-      const code::Event& ev = capture_sink_->events[i];
-      if (ev.kind == code::EventKind::kBlock && ev.fn == lance_send &&
-          ev.block == proto::blk::kLanceSendKick) {
-        tx_split_ = i + 1;
-      }
-    }
-    capture_sink_ = nullptr;
-    capture_done_ = true;
-  }
+  front_.receive(frame, *lance_);
 }
 
 }  // namespace l96::net

@@ -2,31 +2,21 @@
 // LANCE driver, with its own simulated-address arena, code registry, and
 // trace recorder.
 //
-// Capture model: on the client, one steady-state roundtrip's protocol
-// processing is exactly one receive-interrupt activation — the reply's
-// inbound processing, the upcall that sends the next request (the full
-// outbound chain), and the post-transmit work (descriptor completion,
-// message refresh) that overlaps the frame's flight time.  arm_capture()
-// records the next such activation; tx_split() reports where in the event
-// stream the frame left for the wire, separating critical-path work from
-// overlapped work.
-//
-// With path-inlining on, deliver() classifies every inbound frame (through
-// the flow cache when one is installed), marks a mismatch as slow path,
-// and reports the lookup to the deliver hook.  The classification itself
-// is never traced: a capture holds protocol code only, and a lookup's cost
-// comes from the flow cache's FlowCacheCosts.
+// deliver() is the receive interrupt: every inbound frame runs through the
+// host's FrontEnd (net/front_end.h), which owns the capture bracket, the
+// path-inlining guard (classification through the optional flow cache,
+// slow-path markers on a mismatch or stale hit) and the delivery hook.
+// A Host classifies only under path-inlining.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <string>
 
-#include "code/classifier.h"
 #include "code/config.h"
 #include "code/flow_cache.h"
 #include "code/model.h"
-#include "code/trace.h"
+#include "net/front_end.h"
 #include "net/wire.h"
 #include "protocols/eth.h"
 #include "protocols/ip.h"
@@ -68,7 +58,7 @@ class Host {
        std::size_t tcp_conn_buckets = 64, std::uint32_t event_owner = 0);
   /// Detaches the flow-cache invalidation hook before members destruct:
   /// ~Tcp() tears down live connections, and the hook must not touch the
-  /// already-destroyed cache (flow_cache_ is declared after tcp_).
+  /// already-destroyed cache (front_ owns it and is declared after tcp_).
   ~Host();
 
   /// Frame delivery from the wire (the receive interrupt).
@@ -105,17 +95,9 @@ class Host {
   /// port + 1; owner 0 is infrastructure).
   xk::EventPort& event_port() noexcept { return port_; }
 
-  /// Record the next receive activation into `sink`.
-  void arm_capture(code::PathTrace* sink);
-  /// Event index at which the (last) transmitted frame left for the wire
-  /// during the captured activation.
-  std::size_t tx_split() const noexcept { return tx_split_; }
-  bool capture_complete() const noexcept { return capture_done_; }
-
-  /// Packet-classifier statistics (meaningful when path-inlining is on).
-  const code::PacketClassifier& classifier() const noexcept {
-    return classifier_;
-  }
+  /// The receive front end: capture, guard counters, delivery hook and
+  /// the flow cache (null until enable_flow_cache()).
+  FrontEnd& front_end() noexcept { return front_; }
 
   /// Replace the default hand-written classifier with a scaled rule set:
   /// `decoy_rules` seeded synthetic paths (protocols/rulegen.h) ahead of
@@ -125,10 +107,6 @@ class Host {
   /// model).  With decoy_rules == 0 classification is identical to the
   /// default.
   void install_scaled_classifier(std::size_t decoy_rules, std::uint64_t seed);
-  std::uint64_t classifier_hits() const noexcept { return classifier_hits_; }
-  std::uint64_t classifier_misses() const noexcept {
-    return classifier_misses_;
-  }
 
   /// Install a flow cache (code/flow_cache.h) in front of the classifier's
   /// linear rule scan.  With path-inlining on, every inbound frame is
@@ -138,18 +116,6 @@ class Host {
   /// demux map's unbind hook invalidates the closed connection's flow.
   void enable_flow_cache(code::FlowCacheScheme scheme, std::size_t capacity,
                          code::FlowCacheCosts costs = {});
-  code::FlowCache* flow_cache() noexcept { return flow_cache_.get(); }
-  const code::FlowCache* flow_cache() const noexcept {
-    return flow_cache_.get();
-  }
-
-  /// Per-delivery observer, invoked once per inbound frame after
-  /// classification when a flow cache is installed: the lookup result plus
-  /// whether the activation took the standalone slow path.  The fleet
-  /// engine uses this to collect per-packet latency samples.
-  using DeliverHook =
-      std::function<void(const code::FlowLookupResult&, bool slow_path)>;
-  void set_deliver_hook(DeliverHook h) { deliver_hook_ = std::move(h); }
 
   // --- components -----------------------------------------------------------
   const std::string& name() const noexcept { return name_; }
@@ -227,19 +193,10 @@ class Host {
   std::unique_ptr<proto::MSelect> mselect_;
   std::unique_ptr<proto::XRpcTest> xrpctest_;
 
-  code::PathTrace* capture_sink_ = nullptr;
-  std::size_t tx_split_ = 0;
-  bool capture_done_ = false;
-
-  // Path-inlining guard (Section 3.3): inbound frames are classified; a
-  // mismatch routes the activation through the standalone slow-path code.
-  code::PacketClassifier classifier_;
-  std::uint64_t classifier_hits_ = 0;
-  std::uint64_t classifier_misses_ = 0;
-  // Optional flow cache front-ending the classifier's rule scan, with the
-  // per-delivery observer the fleet engine samples through.
-  std::unique_ptr<code::FlowCache> flow_cache_;
-  DeliverHook deliver_hook_;
+  // Path-inlining guard (Section 3.3) and capture: inbound frames are
+  // classified; a mismatch routes the activation through the standalone
+  // slow-path code.
+  FrontEnd front_;
 };
 
 }  // namespace l96::net

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "protocols/rulegen.h"
 #include "protocols/stack_code.h"
 #include "protocols/trace_util.h"
 #include "xkernel/message.h"
@@ -23,17 +24,13 @@ proto::MacAddr backend_mac(std::size_t i) {
   return {0x08, 0x00, 0x2B, 0x20, 0x00, static_cast<std::uint8_t>(i + 1)};
 }
 
-// The LB classifies the same inbound TCP/IP shape as an endpoint host
-// (host.cc): ethertype IPv4, version/IHL 0x45, not fragmented, TCP.  The
-// path id is irrelevant to steering — the conn-track resolver rebinds
+// The LB classifies the same inbound TCP/IP shape as an endpoint host.
+// The path id is irrelevant to steering — the conn-track resolver rebinds
 // matched flows to a backend index — it only marks "classifier matched".
-code::PacketClassifier make_lb_classifier() {
+code::PacketClassifier lb_classifier() {
   code::PacketClassifier c;
   c.add_path("lb_tcpip", 1,
-             {{.offset = 12, .size = 2, .mask = 0xFFFF, .value = 0x0800},
-              {.offset = 14, .size = 1, .mask = 0xFF, .value = 0x45},
-              {.offset = 20, .size = 2, .mask = 0x3FFF, .value = 0x0000},
-              {.offset = 23, .size = 1, .mask = 0xFF, .value = 0x06}});
+             proto::real_path_rules(proto::RuleSetKind::kTcpIp));
   return c;
 }
 
@@ -67,11 +64,17 @@ LbHost::LbHost(std::string name, const code::StackConfig& cfg,
       port_(events, event_owner),
       client_wire_(client_wire),
       client_tx_port_(client_tx_port),
-      classifier_(make_lb_classifier()),
-      track_(proto::tcpip_flow_key_spec(), opts.track_scheme,
-             opts.track_capacity, opts.track_costs),
+      front_(recorder_, registry_, cfg.path_inlining, lb_classifier()),
       maglev_(backends.size(), opts.maglev_table_size, opts.salt),
-      health_(opts.health) {
+      health_(opts.health),
+      resolve_([this](code::FlowKey k) {
+        const int b = maglev_.lookup(MaglevTable::mix64(k));
+        if (b < 0) pending_empty_pool_ = true;
+        return b;
+      }) {
+  front_.set_flow_cache(std::make_unique<code::FlowCache>(
+      proto::tcpip_flow_key_spec(), opts.track_scheme, opts.track_capacity,
+      opts.track_costs));
   proto::register_common_code(registry_, cfg_);
   proto::register_lb_code(registry_, cfg_);
   fn_classify_ = registry_.require("lb_classify");
@@ -123,7 +126,8 @@ void LbHost::rebuild_pool(LbRebuildCause cause, std::uint16_t backend,
                           bool invalidate) {
   const std::size_t remapped = maglev_.rebuild(alive_mask());
   const std::size_t invalidated =
-      invalidate ? track_.invalidate_path(static_cast<int>(backend)) : 0;
+      invalidate ? conn_track().invalidate_path(static_cast<int>(backend))
+                 : 0;
   rebuilds_.push_back({port_.now(), cause, backend, remapped, invalidated,
                        maglev_.pool_size()});
 }
@@ -194,68 +198,17 @@ void LbHost::probe(std::size_t i) {
   port_.schedule_in(health_.interval_us, [this, i] { probe(i); });
 }
 
-void LbHost::arm_capture(code::PathTrace* sink) {
-  capture_sink_ = sink;
-  capture_done_ = false;
-  tx_split_ = 0;
-}
-
 void LbHost::deliver_from_client(std::vector<std::uint8_t> frame) {
-  const bool capturing = capture_sink_ != nullptr;
-  if (capturing) {
-    capture_sink_->clear();
-    recorder_.enable(capture_sink_);
-  }
-
-  // Steering state is resolved outside the recorded activation (same
-  // contract as Host::deliver: the cache's cost model prices the lookup,
-  // the trace prices the code that acts on its outcome).
+  // Steering state is resolved outside the recorded activation, like a
+  // Host's classification: the cache's cost model prices the lookup, the
+  // trace prices the code that acts on its outcome.
   pending_empty_pool_ = false;
-  pending_lr_ = code::FlowLookupResult{};
-  bool bad_frame = false;
-  if (!track_.key_spec().key_of(frame).has_value()) {
-    // Too short to carry the flow tuple: unpinnable, dropped on the
-    // classifier's error block.
-    bad_frame = true;
-  } else {
-    pending_lr_ = track_.lookup(classifier_, frame, [this](code::FlowKey k) {
-      const int b = maglev_.lookup(MaglevTable::mix64(k));
-      if (b < 0) pending_empty_pool_ = true;
-      return b;
-    });
-    bad_frame = !pending_lr_.path_id.has_value() && !pending_empty_pool_;
-  }
-  // Section 3.3 guard semantics: a packet with no usable prediction (no
-  // binding, or a binding invalidated by a pool change) cannot run the
-  // inlined composite.  A plain cold miss that resolves is NOT slow — the
-  // standalone Maglev functions run, but the forwarding path itself is
-  // still the predicted one.
-  pending_slow_ = bad_frame || pending_empty_pool_ || pending_lr_.stale;
-  pending_bad_frame_ = bad_frame;
-
-  const bool mark = pending_slow_ && cfg_.path_inlining;
-  if (mark) recorder_.marker(code::Marker::kSlowPathBegin);
-  client_lance_->rx_frame(frame);
-  if (mark) recorder_.marker(code::Marker::kSlowPathEnd);
-
-  if (capturing) {
-    recorder_.disable();
-    tx_split_ = capture_sink_->events.size();
-    const code::FnId lance_send = registry_.require("lance_send");
-    for (std::size_t i = 0; i < capture_sink_->events.size(); ++i) {
-      const code::Event& ev = capture_sink_->events[i];
-      if (ev.kind == code::EventKind::kBlock && ev.fn == lance_send &&
-          ev.block == proto::blk::kLanceSendKick) {
-        tx_split_ = i + 1;
-      }
-    }
-    capture_sink_ = nullptr;
-    capture_done_ = true;
-  }
+  front_.receive(frame, *client_lance_, &resolve_);
 }
 
 void LbHost::forward(xk::Message& m) {
   code::Recorder& rec = recorder_;
+  const code::FlowLookupResult& lr = front_.lookup();
 
   {
     code::TracedCall t(rec, fn_classify_);
@@ -263,10 +216,11 @@ void LbHost::forward(xk::Message& m) {
     proto::touch_buffer(rec, m.sim_addr(),
                         std::min<std::size_t>(m.length(), 38),
                         /*write=*/false);
-    if (pending_bad_frame_) {
+    // No path and not for want of a backend: unclassifiable, or too short
+    // to carry the flow tuple — unpinnable either way.
+    if (!lr.path_id.has_value() && !pending_empty_pool_) {
       rec.block(fn_classify_, proto::blk::kLbClsBadFrame);
       ++drops_bad_frame_;
-      if (forward_hook_) forward_hook_(pending_lr_, pending_slow_, -1);
       return;
     }
     rec.block(fn_classify_, proto::blk::kLbClsFields);
@@ -275,8 +229,8 @@ void LbHost::forward(xk::Message& m) {
   {
     code::TracedCall t(rec, fn_track_);
     rec.block(fn_track_, proto::blk::kLbTrackProbe);
-    if (pending_lr_.stale) rec.block(fn_track_, proto::blk::kLbTrackStale);
-    if (!pending_lr_.cache_hit || pending_lr_.stale) {
+    if (lr.stale) rec.block(fn_track_, proto::blk::kLbTrackStale);
+    if (!lr.cache_hit || lr.stale) {
       // Miss or stale rebind: the standalone hash + table-walk functions
       // run (never part of the inlined forwarding composite).
       {
@@ -292,15 +246,13 @@ void LbHost::forward(xk::Message& m) {
       }
       if (pending_empty_pool_) {
         ++drops_no_backend_;
-        if (forward_hook_) forward_hook_(pending_lr_, pending_slow_, -1);
         return;
       }
       rec.block(fn_track_, proto::blk::kLbTrackBind);
     }
   }
 
-  const int backend = *pending_lr_.path_id;
-  Backend& be = backends_[static_cast<std::size_t>(backend)];
+  Backend& be = backends_[static_cast<std::size_t>(*lr.path_id)];
 
   {
     // DSR rewrite: only the Ethernet destination MAC changes; IP and TCP
@@ -325,8 +277,7 @@ void LbHost::forward(xk::Message& m) {
   }
 
   ++forwards_;
-  if (pending_slow_) ++slow_forwards_;
-  if (forward_hook_) forward_hook_(pending_lr_, pending_slow_, backend);
+  if (front_.slow()) ++slow_forwards_;
 }
 
 void LbHost::deliver_from_backend(std::size_t,

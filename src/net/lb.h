@@ -20,6 +20,13 @@
 // paths.  The Maglev hash+lookup functions run only on a conn-track miss
 // or stale rebind and stay standalone.
 //
+// The client-facing NIC receives through the same FrontEnd as a Host
+// (net/front_end.h): the conn-track cache is its flow cache, the Maglev
+// table its resolver, so every frame is classified (steering needs the
+// binding) and the capture bracket, guard, slow-path markers and delivery
+// hook are the Host's.  A frame too short for the flow tuple is dropped on
+// the classifier's error block.
+//
 // Robustness: seeded health probes with failure/recovery thresholds
 // remove and restore backends from the Maglev pool; drain()/undrain()
 // removes a backend administratively *without* invalidating its pinned
@@ -34,10 +41,9 @@
 #include <string>
 #include <vector>
 
-#include "code/classifier.h"
 #include "code/flow_cache.h"
 #include "code/model.h"
-#include "code/trace.h"
+#include "net/front_end.h"
 #include "net/host.h"
 #include "net/maglev.h"
 #include "net/wire.h"
@@ -128,19 +134,9 @@ class LbHost {
   /// the health seed).
   void start_health_checks();
 
-  // --- capture / observation ------------------------------------------------
-  /// Record the next client->backend forwarding activation into `sink`
-  /// (same contract as Host::arm_capture).
-  void arm_capture(code::PathTrace* sink);
-  std::size_t tx_split() const noexcept { return tx_split_; }
-  bool capture_complete() const noexcept { return capture_done_; }
-
-  /// Per-forward observer: lookup result, whether the activation took the
-  /// standalone slow path, and the chosen backend (-1 = dropped).
-  using ForwardHook =
-      std::function<void(const code::FlowLookupResult&, bool slow_path,
-                         int backend)>;
-  void set_forward_hook(ForwardHook h) { forward_hook_ = std::move(h); }
+  /// The client-facing receive front end: capture, delivery hook, and
+  /// the conn-track cache as its flow cache.
+  FrontEnd& front_end() noexcept { return front_; }
 
   // --- components / counters ------------------------------------------------
   const std::string& name() const noexcept { return name_; }
@@ -148,8 +144,7 @@ class LbHost {
   code::CodeRegistry& registry() noexcept { return registry_; }
   code::Recorder& recorder() noexcept { return recorder_; }
   MaglevTable& maglev() noexcept { return maglev_; }
-  code::FlowCache& conn_track() noexcept { return track_; }
-  const code::FlowCache& conn_track() const noexcept { return track_; }
+  code::FlowCache& conn_track() noexcept { return *front_.flow_cache(); }
   const std::vector<LbRebuild>& rebuilds() const noexcept {
     return rebuilds_;
   }
@@ -207,8 +202,7 @@ class LbHost {
   std::unique_ptr<proto::Lance> client_lance_;
   std::vector<Backend> backends_;
 
-  code::PacketClassifier classifier_;
-  code::FlowCache track_;
+  FrontEnd front_;
   MaglevTable maglev_;
   LbHealthParams health_;
   ProbeFn probe_fn_;
@@ -221,17 +215,10 @@ class LbHost {
   code::FnId fn_rewrite_;
   code::FnId fn_forward_;
 
-  // Per-delivery state handed from deliver_from_client() to forward()
-  // (single-threaded event loop: exactly one frame in flight).
-  code::FlowLookupResult pending_lr_;
-  bool pending_slow_ = false;
+  // Pins a flow through the Maglev table; flags an empty pool for
+  // forward() (single-threaded event loop: one frame in flight).
+  code::FlowCache::PathResolver resolve_;
   bool pending_empty_pool_ = false;
-  bool pending_bad_frame_ = false;
-
-  code::PathTrace* capture_sink_ = nullptr;
-  std::size_t tx_split_ = 0;
-  bool capture_done_ = false;
-  ForwardHook forward_hook_;
 
   std::uint64_t forwards_ = 0;
   std::uint64_t slow_forwards_ = 0;

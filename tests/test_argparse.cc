@@ -111,8 +111,10 @@ TEST(ArgParseTest, MissingAndInvalidValuesFail) {
 // leaves the target alone.
 TEST(ArgParseTest, WholeTokenNumberParsesRejectMalformedTokens) {
   std::uint64_t u = 7;
-  for (const char* bad :
-       {"8x", "abc", "", "-1", "1.5", "18446744073709551616"}) {
+  // strtoull alone would skip the blank and take the sign: " -8" would
+  // wrap to 2^64 - 8.
+  for (const char* bad : {"8x", "abc", "", "-1", "1.5", "18446744073709551616",
+                          "+8", " 8", " -8", "\t8"}) {
     EXPECT_FALSE(harness::parse_unsigned(bad, &u)) << bad;
   }
   EXPECT_EQ(u, 7u);
@@ -125,12 +127,15 @@ TEST(ArgParseTest, WholeTokenNumberParsesRejectMalformedTokens) {
   EXPECT_EQ(narrow, 4294967295u);
 
   double d = 1.1;
-  for (const char* bad : {"abc", "1.2x", ""}) {
+  for (const char* bad : {"abc", "1.2x", "", "+0.5", " 0.5", "\n1"}) {
     EXPECT_FALSE(harness::parse_double(bad, &d)) << bad;
   }
   EXPECT_EQ(d, 1.1);
   EXPECT_TRUE(harness::parse_double("0.5", &d));
   EXPECT_EQ(d, 0.5);
+  // A leading '-' still parses: range checks belong to the caller.
+  EXPECT_TRUE(harness::parse_double("-5", &d));
+  EXPECT_EQ(d, -5.0);
 }
 
 TEST(ArgParseTest, ExcessPositionalFails) {

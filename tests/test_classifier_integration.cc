@@ -15,9 +15,9 @@ TEST(ClassifierIntegration, AllTcpPingPongFramesMatchFastPath) {
                code::StackConfig::All());
   w.start(20);
   ASSERT_TRUE(w.run_until_roundtrips(20));
-  EXPECT_GT(w.client().classifier_hits(), 20u);
-  EXPECT_EQ(w.client().classifier_misses(), 0u);
-  EXPECT_EQ(w.server().classifier_misses(), 0u);
+  EXPECT_GT(w.client().front_end().hits(), 20u);
+  EXPECT_EQ(w.client().front_end().misses(), 0u);
+  EXPECT_EQ(w.server().front_end().misses(), 0u);
 }
 
 TEST(ClassifierIntegration, AllRpcPingPongFramesMatchFastPath) {
@@ -25,8 +25,8 @@ TEST(ClassifierIntegration, AllRpcPingPongFramesMatchFastPath) {
                code::StackConfig::All());
   w.start(10);
   ASSERT_TRUE(w.run_until_roundtrips(10));
-  EXPECT_GT(w.client().classifier_hits(), 9u);
-  EXPECT_EQ(w.client().classifier_misses(), 0u);
+  EXPECT_GT(w.client().front_end().hits(), 9u);
+  EXPECT_EQ(w.client().front_end().misses(), 0u);
 }
 
 TEST(ClassifierIntegration, NoClassificationWithoutPathInlining) {
@@ -34,7 +34,7 @@ TEST(ClassifierIntegration, NoClassificationWithoutPathInlining) {
                code::StackConfig::Std());
   w.start(5);
   ASSERT_TRUE(w.run_until_roundtrips(5));
-  EXPECT_EQ(w.client().classifier_hits() + w.client().classifier_misses(),
+  EXPECT_EQ(w.client().front_end().hits() + w.client().front_end().misses(),
             0u);
 }
 
@@ -45,11 +45,11 @@ TEST(ClassifierIntegration, FragmentedIpTakesSlowPath) {
   ASSERT_TRUE(w.run_until_roundtrips(5));
   // Push a fragmented datagram through IP: the fragments must be rejected
   // by the classifier (fast path handles only unfragmented TCP).
-  const auto misses_before = w.server().classifier_misses();
+  const auto misses_before = w.server().front_end().misses();
   xk::Message big(w.client().arena(), 64, 4000);
   w.client().ip()->send(w.server().address().ip, 200, big);
   w.events().advance_by(200'000);
-  EXPECT_GT(w.server().classifier_misses(), misses_before);
+  EXPECT_GT(w.server().front_end().misses(), misses_before);
 }
 
 TEST(ClassifierIntegration, RpcNackTakesSlowPath) {
@@ -64,13 +64,13 @@ TEST(ClassifierIntegration, RpcNackTakesSlowPath) {
     (void)req;
     return r;
   });
-  const auto misses_before = w.server().classifier_misses();
+  const auto misses_before = w.server().front_end().misses();
   xk::Message req(w.client().arena(), 128, 3000);
   bool replied = false;
   w.client().mselect()->call(5, req, [&](xk::Message&) { replied = true; });
   w.events().advance_by(30'000'000);
   EXPECT_TRUE(replied);
-  EXPECT_GT(w.server().classifier_misses(), misses_before);
+  EXPECT_GT(w.server().front_end().misses(), misses_before);
 }
 
 TEST(ClassifierIntegration, SlowPathLowersToStandalonePlacements) {

@@ -242,14 +242,16 @@ TEST(FlowCache, ServerCrashFlushesTheCacheAgainstTheDeadIncarnation) {
       [&w] { w.server().tcptest()->serve(net::World::kTcpServerPort); });
   w.start(30);
   ASSERT_TRUE(w.run_until_roundtrips(10));
-  const code::FlowCacheStats before = w.server().flow_cache()->stats();
+  const code::FlowCacheStats before =
+      w.server().front_end().flow_cache()->stats();
   EXPECT_GT(before.hits, 0u);
 
   w.server().crash();
   w.server().reboot();
   ASSERT_TRUE(w.run_until_roundtrips(30, 120'000'000));
   EXPECT_GE(w.client().tcptest()->reconnects(), 1u);
-  const code::FlowCacheStats after = w.server().flow_cache()->stats();
+  const code::FlowCacheStats after =
+      w.server().front_end().flow_cache()->stats();
   EXPECT_EQ(after.stale_hits, before.stale_hits);  // zero new stale hits
   EXPECT_GT(after.misses, before.misses);  // the flush forced a clean miss
   EXPECT_GT(after.hits, before.hits);      // then the flow re-warmed

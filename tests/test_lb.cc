@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "code/config.h"
+#include "harness/experiment.h"
 #include "harness/runner.h"
 #include "net/chaos.h"
 #include "net/lb.h"
@@ -196,9 +197,8 @@ TEST(LbWorld, CapturesTracedForwardingActivation) {
   ASSERT_TRUE(w.run_until_roundtrips(5));
 
   code::PathTrace trace;
-  w.lb().arm_capture(&trace);
-  ASSERT_TRUE(w.events().run_until([&] { return w.lb().capture_complete(); },
-                                   1'000'000));
+  const std::size_t split = harness::capture_next(
+      w.events(), w.lb().front_end(), trace, "LB capture stalled", 1'000'000);
   ASSERT_FALSE(trace.empty());
 
   // The steady-state activation walks the declared forwarding path:
@@ -220,8 +220,8 @@ TEST(LbWorld, CapturesTracedForwardingActivation) {
     }
   }
   EXPECT_EQ(next, want.size());
-  EXPECT_GT(w.lb().tx_split(), 0u);
-  EXPECT_LT(w.lb().tx_split(), trace.events.size());
+  EXPECT_GT(split, 0u);
+  EXPECT_LT(split, trace.events.size());
 
   // Steady state is the pinned fast path: no Maglev probe in the trace.
   const code::FnId maglev_fn = w.lb().registry().require("lb_maglev");

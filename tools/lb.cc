@@ -107,7 +107,8 @@ int main(int argc, char** argv) {
   try {
     spec.chaos = net::ChaosTimeline::parse(script);
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "lb: %s\n\n%s", e.what(), parser.help().c_str());
+    // The message already names its source ("chaos: ...").
+    std::fprintf(stderr, "%s\n\n%s", e.what(), parser.help().c_str());
     return 2;
   }
 
